@@ -40,7 +40,7 @@ from .events import (
     stochastic_error_event_check,
     stochastic_u_samples,
 )
-from .risk import empirical_risk, minimax_denominator, predicted_ratio
+from .risk import empirical_risk, empirical_risks, minimax_denominator, predicted_ratio
 from .rng import ROLE_NOISE, SeedSpec
 from .tails import REGISTRY, check_tail_bound
 
@@ -115,7 +115,11 @@ def _risk_files(mapping: dict[str, str], threads) -> tuple[dict[str, bytes], dic
     """CSV, TSV, and JSON summary for one estimator run; pure function of
     the resolved mapping, so replay can regenerate the bytes."""
     cfg = experiment_config_from_mapping(mapping)
-    report = empirical_risk(cfg, threads=threads)
+    return _format_risk(cfg, empirical_risk(cfg, threads=threads))
+
+
+def _format_risk(cfg, report) -> tuple[dict[str, bytes], dict]:
+    """The data files and summary of one estimator's risk report."""
     est = cfg.estimator_id
     scale = cfg.amplitude_scale
     amps_abs = [a * scale for a in cfg.amplitudes]
@@ -160,12 +164,20 @@ def _produce_simulate_risk(config: dict, threads=None) -> tuple[dict[str, bytes]
 
 
 def _produce_sweep(config: dict, threads=None) -> tuple[dict[str, bytes], bool]:
+    """One pass over the replicates fits every listed estimator on the same
+    designs; each estimator's files match a simulate-risk run of it alone."""
+    estimators = config["estimators"]
+    cfgs = {
+        est: experiment_config_from_mapping(dict(config["experiment"], estimator_id=est))
+        for est in estimators
+    }
+    # every estimator config shares n, p, k, sigma, reps and the seed
+    cfg = cfgs[estimators[0]]
+    reports = empirical_risks(cfg, estimators, threads)
     files: dict[str, bytes] = {}
     combined = {}
-    for est in config["estimators"]:
-        mapping = dict(config["experiment"])
-        mapping["estimator_id"] = est
-        est_files, summary = _risk_files(mapping, threads)
+    for est in estimators:
+        est_files, summary = _format_risk(cfgs[est], reports[est])
         files.update(est_files)
         combined[est] = {
             "minimax_ratio": summary["minimax_ratio"],
@@ -178,13 +190,8 @@ def _produce_sweep(config: dict, threads=None) -> tuple[dict[str, bytes], bool]:
         "manifest": _MANIFEST_NAME,
         "experiment": config["experiment"],
         "estimators": combined,
-        "denominator": None,
+        "denominator": minimax_denominator(cfg.n, cfg.p, cfg.k, cfg.sigma_eff),
     }
-    # one denominator serves every estimator: same n, p, k, sigma
-    mapping = dict(config["experiment"])
-    mapping["estimator_id"] = config["estimators"][0]
-    cfg = experiment_config_from_mapping(mapping)
-    sweep_summary["denominator"] = minimax_denominator(cfg.n, cfg.p, cfg.k, cfg.sigma_eff)
     files["sweep_summary.json"] = _json_bytes(sweep_summary)
     return files, True
 
@@ -437,10 +444,7 @@ _PROOF_DRIVERS = {
 
 
 def _produce_check_proof(config: dict, threads=None) -> tuple[dict[str, bytes], bool]:
-    settings = dict(config["settings"])
-    if settings.get("k_star") is None:
-        settings["k_star"] = 2 * settings["k"]
-    result = _PROOF_DRIVERS[config["lemma"]](settings, config["reps"], config["seed"])
+    result = _PROOF_DRIVERS[config["lemma"]](config["settings"], config["reps"], config["seed"])
     payload = {
         "subcommand": "check-lemma",
         "manifest": _MANIFEST_NAME,
@@ -462,16 +466,6 @@ _PRODUCERS = {
 # --- subcommand handlers -----------------------------------------------------
 
 
-def _resolve_threads(flag):
-    raw = os.environ.get("SPARSE_MINIMAX_THREADS")
-    if raw is not None:
-        value = int(raw)
-        if value < 1:
-            raise _UsageError(f"SPARSE_MINIMAX_THREADS must be at least 1, got {raw}")
-        return value
-    return flag
-
-
 def _cmd_simulate_risk(args) -> int:
     _require_out_dir(args.out)
     mapping = load_kv(args.config)
@@ -480,7 +474,7 @@ def _cmd_simulate_risk(args) -> int:
     cfg = experiment_config_from_mapping(mapping)  # fail before any work
     started = _utc_now()
     config = {"experiment": experiment_config_to_mapping(cfg)}
-    files, _ = _produce_simulate_risk(config, threads=_resolve_threads(args.threads))
+    files, _ = _produce_simulate_risk(config, threads=args.threads)
     _write_run(args.out, "simulate-risk", config, files, started, cfg.master_seed)
     summary = json.loads(files[f"summary_{cfg.estimator_id}.json"])
     print(f"estimator={cfg.estimator_id} minimax_ratio={summary['minimax_ratio']:.6g} "
@@ -502,7 +496,7 @@ def _cmd_sweep(args) -> int:
         experiment_config_from_mapping(dict(base, estimator_id=est))  # validate all up front
     started = _utc_now()
     config = {"experiment": base, "estimators": estimators}
-    files, _ = _produce_sweep(config, threads=_resolve_threads(args.threads))
+    files, _ = _produce_sweep(config, threads=args.threads)
     _write_run(args.out, "sweep", config, files, started, int(base["master_seed"]))
     summary = json.loads(files["sweep_summary.json"])
     for est in estimators:

@@ -8,6 +8,8 @@ manifests.
 
 from __future__ import annotations
 
+import math
+
 from .risk import ExperimentConfig
 
 
@@ -167,6 +169,9 @@ def lemma_config_from_mapping(mapping: dict[str, str]) -> dict:
     out: dict = {key: coerce(key, mapping[key]) for key, coerce in _LEMMA_REQUIRED.items()}
     for key, (coerce, default) in _LEMMA_OPTIONAL.items():
         out[key] = coerce(key, mapping[key]) if key in mapping else default
+    for key in ("sigma", "eps", "amplitude", "delta0", "delta1", "delta2", "delta3", "q"):
+        if out[key] is not None and not math.isfinite(out[key]):
+            raise ValueError(f"config key {key!r} must be finite, got {out[key]}")
     if not 1 <= out["k"] < out["p"]:
         raise ValueError(f"need 1 <= k < p, got k={out['k']}, p={out['p']}")
     if out["sigma"] <= 0:

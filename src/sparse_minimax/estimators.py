@@ -22,6 +22,16 @@ class CapacityError(RuntimeError):
     """Support enumeration would exceed the configured cap."""
 
 
+class BacktrackingError(RuntimeError):
+    """A step-size search halved its step the maximum number of times
+    without passing the majorization test (non-finite inputs or overflow)."""
+
+
+# Halvings allowed per step search: 2**-60 of the start step is far below
+# any step a finite problem needs, and well above zero.
+_MAX_HALVINGS = 60
+
+
 def _enum_count(p: int, s: int, cap: int, what: str) -> int:
     count = math.comb(p, s)
     if count > cap:
@@ -133,6 +143,15 @@ def _as_design(X) -> np.ndarray:
     return X
 
 
+def _as_response(y, n: int) -> np.ndarray:
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    if y.shape != (n,):
+        raise ValueError(f"y has shape {y.shape}, expected ({n},)")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y must be finite")
+    return y
+
+
 def _kkt_from_grad(gn: np.ndarray, b: np.ndarray, lam: float) -> float:
     """Max subgradient violation given gn = X'(y-Xb)/n."""
     on = b != 0.0
@@ -143,25 +162,29 @@ def _kkt_from_grad(gn: np.ndarray, b: np.ndarray, lam: float) -> float:
     return float(viol.max(initial=0.0))
 
 
-def lasso_fit(X, y, config: LassoConfig, b0=None) -> EstimatorResult:
+def lasso_fit(X, y, config: LassoConfig, b0=None, col_sq=None) -> EstimatorResult:
     """Solve argmin_b (1/2n)||y - Xb||^2 + lam*||b||_1 by cyclic coordinate
     minimization over an active set that grows on KKT violations.
 
     The returned ``kkt_residual`` is checked against the full design, so a
     ``converged`` result certifies every coordinate, not just active ones.
-    ``b0`` warm-starts the sweep.
+    ``b0`` warm-starts the sweep. ``col_sq`` supplies the squared column
+    norms of X when the caller already has them (e.g. reused across fits
+    on one design).
     """
     X = _as_design(X)
-    y = np.ascontiguousarray(y, dtype=np.float64)
     n, p = X.shape
-    if y.shape != (n,):
-        raise ValueError(f"y has shape {y.shape}, expected ({n},)")
+    y = _as_response(y, n)
     if config.lam <= 0:
         raise ValueError("lasso_fit requires lam > 0; zero penalty is plain least squares")
 
     lam = config.lam
     lam_n = lam * n
-    col_sq = np.asarray(_k.col_sumsq(X))
+    if col_sq is None:
+        col_sq = _k.col_sumsq(X)
+    col_sq = np.asarray(col_sq, dtype=np.float64)
+    if col_sq.shape != (p,):
+        raise ValueError(f"col_sq has shape {col_sq.shape}, expected ({p},)")
     if b0 is None:
         w = np.zeros(p)
         r = y.copy()
@@ -301,7 +324,7 @@ def _fista_on_slab(Xw, y, lam_w, b_init, t, tol_inner, it_cap, n):
     while it < it_cap:
         gz = (Xw.T @ rz) / n
         fz = 0.5 * float(rz @ rz) / n
-        while True:
+        for _ in range(_MAX_HALVINGS):
             cand = prox_sorted_l1(zv + t * gz, t * lam_w)
             d = cand - zv
             rc = y - Xw @ cand
@@ -309,6 +332,11 @@ def _fista_on_slab(Xw, y, lam_w, b_init, t, tol_inner, it_cap, n):
             if fc <= fz - float(gz @ d) + float(d @ d) / (2.0 * t) + 1e-12 * max(1.0, fz):
                 break
             t *= 0.5
+        else:
+            raise BacktrackingError(
+                f"SLOPE step search halved the step {_MAX_HALVINGS} times (now {t:.3g}); "
+                "X, y or the weights are not finite, or the objective overflowed"
+            )
         it += 1
         if float((zv - cand) @ (cand - b)) > 0.0:
             s = 1.0
@@ -341,10 +369,8 @@ def slope_fit(X, y, config: SlopeConfig, b0=None) -> EstimatorResult:
     vanishes exactly at solutions for any step t > 0.
     """
     X = _as_design(X)
-    y = np.ascontiguousarray(y, dtype=np.float64)
     n, p = X.shape
-    if y.shape != (n,):
-        raise ValueError(f"y has shape {y.shape}, expected ({n},)")
+    y = _as_response(y, n)
     lam = config.lambda_seq
     if lam.shape != (p,):
         raise ValueError(f"lambda_seq has length {lam.size}, expected {p}")
@@ -410,10 +436,8 @@ def mle_best_subset(X, y, k: int, enum_cap: int = 10**6) -> EstimatorResult:
     Rank-deficient subproblems fall back to minimum-norm least squares.
     """
     X = _as_design(X)
-    y = np.ascontiguousarray(y, dtype=np.float64)
     n, p = X.shape
-    if y.shape != (n,):
-        raise ValueError(f"y has shape {y.shape}, expected ({n},)")
+    y = _as_response(y, n)
     if not 1 <= k <= p:
         raise ValueError(f"need 1 <= k <= p, got k={k}, p={p}")
     if k > n:
@@ -457,15 +481,21 @@ def mle_best_subset(X, y, k: int, enum_cap: int = 10**6) -> EstimatorResult:
     return EstimatorResult(beta, count, kkt, best_rss, True)
 
 
-def oracle_estimator(beta, X, z, lam: float) -> np.ndarray:
-    """Soft-threshold the noise-corrupted truth: eta_lam(beta + X'z/n)."""
+def oracle_estimator(beta, X, z, lam: float, xtz=None) -> np.ndarray:
+    """Soft-threshold the noise-corrupted truth: eta_lam(beta + X'z/n).
+
+    ``xtz`` supplies X'z when the caller already has it (e.g. reused
+    across signals on one design and noise draw)."""
     X = _as_design(X)
     beta = np.ascontiguousarray(beta, dtype=np.float64)
     z = np.ascontiguousarray(z, dtype=np.float64)
     n, p = X.shape
     if beta.shape != (p,) or z.shape != (n,):
         raise ValueError(f"shape mismatch: X {X.shape}, beta {beta.shape}, z {z.shape}")
-    return soft_threshold(beta + np.asarray(_k.xt_dot(X, z)) / n, lam)
+    xtz = np.asarray(_k.xt_dot(X, z) if xtz is None else xtz, dtype=np.float64)
+    if xtz.shape != (p,):
+        raise ValueError(f"xtz has shape {xtz.shape}, expected ({p},)")
+    return soft_threshold(beta + xtz / n, lam)
 
 
 def aggregated_estimate(

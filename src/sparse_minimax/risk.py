@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtr
 
+from . import _kernels as _k
 from .design import gen_design, make_signal, synthesize
 from .estimators import (
     LassoConfig,
@@ -36,15 +37,25 @@ ESTIMATOR_IDS = ("lasso", "slope", "mle", "oracle", "aggregated")
 _THREADS_ENV = "SPARSE_MINIMAX_THREADS"
 
 
-def worker_count() -> int:
+def worker_count(requested: int | None = None) -> int:
     """Thread count for replicate loops: SPARSE_MINIMAX_THREADS if set,
-    otherwise the CPU count. Results never depend on this."""
+    otherwise ``requested``, otherwise the number of CPUs this process may
+    run on. Results never depend on this."""
     raw = os.environ.get(_THREADS_ENV)
     if raw is not None:
-        count = int(raw)
+        try:
+            count = int(raw)
+        except ValueError:
+            raise ValueError(f"{_THREADS_ENV} must be an integer, got {raw!r}") from None
         if count < 1:
             raise ValueError(f"{_THREADS_ENV} must be at least 1, got {raw}")
         return count
+    if requested is not None:
+        if requested < 1:
+            raise ValueError(f"threads must be at least 1, got {requested}")
+        return requested
+    if hasattr(os, "sched_getaffinity"):  # Linux: honours CPU affinity
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -75,6 +86,13 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "amplitudes", tuple(float(a) for a in self.amplitudes))
+        for name in ("sigma", "eps", "slope_q", "noise_scale"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        for a in self.amplitudes:
+            if not math.isfinite(a):
+                raise ValueError(f"amplitudes must be finite, got {a}")
         if not 1 <= self.k < self.p:
             raise ValueError(f"need 1 <= k < p, got k={self.k}, p={self.p}")
         if self.n < 1:
@@ -228,98 +246,69 @@ def predicted_ratio(n: int, p: int, k: int, eps: float) -> float:
     return (1.0 + eps) ** 2 + 1.0 / (2.0 * math.log(p / k))
 
 
-def _replicate_errors(config: ExperimentConfig, rep: int, lam: float, seq, amps_abs):
-    """Squared errors for one replicate across the amplitude grid.
+def _replicate_errors(config: ExperimentConfig, ids, rep: int, lam: float, seq, amps_abs):
+    """Squared errors and convergence flags, each (len(ids), n_amplitudes),
+    for one replicate of every estimator in ``ids``.
 
-    Pure function of (config, rep): the design, noise, and any support
-    draw all come from the replicate's own stream.
+    Pure function of (config, ids, rep): the design, noise, and any support
+    draw all come from the replicate's own stream. The design is drawn once
+    and its column norms, X'z and spectral bound are computed at most once,
+    when an estimator first needs them. Each depends only on the design and
+    the noise, which every amplitude shares (z is the noise role's slot 0),
+    so sharing them leaves each estimator's bytes as they are when it runs
+    alone.
     """
     spec = SeedSpec(config.master_seed, rep)
     design = gen_design(config.n, config.p, spec)
     X = design.entries
-    est = config.estimator_id
-    lip = _spectral_bound(X) if est == "slope" else None
+    col_sq = xtz = None
+    lip = _spectral_bound(X) if "slope" in ids else None
 
-    errs = np.empty(len(amps_abs))
-    flags = np.zeros(len(amps_abs), dtype=bool)
-    warm = None  # previous amplitude's solution; same design, so a good start
+    errs = np.empty((len(ids), len(amps_abs)))
+    flags = np.zeros((len(ids), len(amps_abs)), dtype=bool)
+    warm = [None] * len(ids)  # previous amplitude's solution; same design, so a good start
     for a, amp in enumerate(amps_abs):
         signal = make_signal(config.p, config.k, amp, config.support_rule, spec)
         inst = synthesize(design, signal, config.sigma, spec)
         beta = signal.dense()
-        if est == "oracle":
-            beta_hat = oracle_estimator(beta, X, inst.noise.z, lam)
-        elif est == "lasso":
-            res = lasso_fit(X, inst.response, LassoConfig(lam=lam), b0=warm)
-            beta_hat = warm = res.beta_hat
-            flags[a] = not res.converged
-        elif est == "slope":
-            res = slope_fit(X, inst.response, SlopeConfig(lambda_seq=seq, lipschitz=lip), b0=warm)
-            beta_hat = warm = res.beta_hat
-            flags[a] = not res.converged
-        elif est == "mle":
-            res = mle_best_subset(X, inst.response, config.k)
-            beta_hat = res.beta_hat
-        else:
-            res, _ = aggregated_estimate(inst, config.k, config.eps, seed=spec, lam=lam)
-            beta_hat = res.beta_hat
-            flags[a] = not res.converged
-        diff = beta_hat - beta
-        errs[a] = float(diff @ diff)
+        for e, est in enumerate(ids):
+            if est == "oracle":
+                if xtz is None:
+                    xtz = np.asarray(_k.xt_dot(X, inst.noise.z))
+                beta_hat = oracle_estimator(beta, X, inst.noise.z, lam, xtz=xtz)
+            elif est == "lasso":
+                if col_sq is None:
+                    col_sq = np.asarray(_k.col_sumsq(X))
+                res = lasso_fit(X, inst.response, LassoConfig(lam=lam), b0=warm[e], col_sq=col_sq)
+                beta_hat = warm[e] = res.beta_hat
+                flags[e, a] = not res.converged
+            elif est == "slope":
+                res = slope_fit(X, inst.response, SlopeConfig(lambda_seq=seq, lipschitz=lip), b0=warm[e])
+                beta_hat = warm[e] = res.beta_hat
+                flags[e, a] = not res.converged
+            elif est == "mle":
+                beta_hat = mle_best_subset(X, inst.response, config.k).beta_hat
+            else:
+                res, _ = aggregated_estimate(inst, config.k, config.eps, seed=spec, lam=lam)
+                beta_hat = res.beta_hat
+                flags[e, a] = not res.converged
+            diff = beta_hat - beta
+            errs[e, a] = float(diff @ diff)
     return errs, flags
 
 
-def empirical_risk(config: ExperimentConfig, threads: int | None = None) -> RiskReport:
-    """Mean squared error per amplitude over fresh (X, z) draws.
-
-    Replicate r draws from stream r of the master seed, results land in a
-    preallocated matrix by index, and means use numpy's pairwise sums, so
-    the report is bit-identical for any thread count. Non-converged fits
-    are flagged and excluded from the means; more than 1% flagged aborts
-    the run.
-    """
-    if threads is None:
-        threads = worker_count()
-    est = config.estimator_id
-    needs_lam = est in ("lasso", "oracle", "aggregated")
-    lam = lambda_eps(config.eps, config.sigma_eff, config.n, config.p, config.k) if needs_lam else 0.0
-    seq = (
-        slope_lambda_seq(config.eps, config.sigma_eff, config.n, config.p, config.slope_q)
-        if est == "slope"
-        else None
-    )
-    scale = config.amplitude_scale
-    amps_abs = tuple(a * scale for a in config.amplitudes)
-
-    n_amp = len(amps_abs)
-    errors = np.empty((n_amp, config.reps))
-    flags = np.zeros((n_amp, config.reps), dtype=bool)
-
-    def run(rep: int):
-        return rep, *_replicate_errors(config, rep, lam, seq, amps_abs)
-
-    if threads == 1 or config.reps == 1:
-        for rep in range(config.reps):
-            _, errs, flg = run(rep)
-            errors[:, rep] = errs
-            flags[:, rep] = flg
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for rep, errs, flg in pool.map(run, range(config.reps)):
-                errors[:, rep] = errs
-                flags[:, rep] = flg
-
+def _risk_report(config: ExperimentConfig, est: str, errors: np.ndarray, flags: np.ndarray) -> RiskReport:
     flagged = int(flags.sum())
-    total = n_amp * config.reps
+    total = flags.size
     if flagged > 0.01 * total:
         raise RuntimeError(
-            f"{flagged} of {total} fits failed to converge (> 1%); "
+            f"{est}: {flagged} of {total} fits failed to converge (> 1%); "
             "raise max_iter or loosen tol instead of trusting these means"
         )
 
     means = []
     stderrs = []
-    for a in range(n_amp):
+    for a in range(errors.shape[0]):
         vals = errors[a][~flags[a]]
         means.append(float(np.mean(vals)))
         if vals.size >= 2:
@@ -328,7 +317,6 @@ def empirical_risk(config: ExperimentConfig, threads: int | None = None) -> Risk
             stderrs.append(0.0)
 
     denom = minimax_denominator(config.n, config.p, config.k, config.sigma_eff)
-    ratio = max(means) / denom
     return RiskReport(
         amplitudes=config.amplitudes,
         means=tuple(means),
@@ -337,8 +325,62 @@ def empirical_risk(config: ExperimentConfig, threads: int | None = None) -> Risk
         flags=flags,
         flagged=flagged,
         denominator=denom,
-        minimax_ratio=ratio,
+        minimax_ratio=max(means) / denom,
     )
+
+
+def empirical_risks(config: ExperimentConfig, estimator_ids, threads: int | None = None) -> dict[str, RiskReport]:
+    """Mean squared error per amplitude over fresh (X, z) draws, for each
+    estimator in ``estimator_ids`` (``config.estimator_id`` is not used).
+
+    Every estimator sees the same replicates: replicate r draws its design
+    once from stream r of the master seed and fits every estimator on it.
+    Results land in a preallocated array by index and means use numpy's
+    pairwise sums, so each report is bit-identical for any thread count and
+    to an :func:`empirical_risk` run of that estimator alone. Non-converged
+    fits are flagged and excluded from the means; more than 1% flagged for
+    any estimator aborts the run.
+    """
+    ids = tuple(dict.fromkeys(estimator_ids))
+    if not ids:
+        raise ValueError("estimator_ids must name at least one estimator")
+    for est in ids:
+        if est not in ESTIMATOR_IDS:
+            raise ValueError(f"estimator ids must be among {ESTIMATOR_IDS}, got {est!r}")
+    threads = worker_count(threads)
+    needs_lam = any(est in ("lasso", "oracle", "aggregated") for est in ids)
+    lam = lambda_eps(config.eps, config.sigma_eff, config.n, config.p, config.k) if needs_lam else 0.0
+    seq = (
+        slope_lambda_seq(config.eps, config.sigma_eff, config.n, config.p, config.slope_q)
+        if "slope" in ids
+        else None
+    )
+    scale = config.amplitude_scale
+    amps_abs = tuple(a * scale for a in config.amplitudes)
+
+    shape = (len(ids), len(amps_abs), config.reps)
+    errors = np.empty(shape)
+    flags = np.zeros(shape, dtype=bool)
+
+    def run(rep: int):
+        return rep, *_replicate_errors(config, ids, rep, lam, seq, amps_abs)
+
+    if threads == 1 or config.reps == 1:
+        for rep, errs, flg in map(run, range(config.reps)):
+            errors[:, :, rep] = errs
+            flags[:, :, rep] = flg
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for rep, errs, flg in pool.map(run, range(config.reps)):
+                errors[:, :, rep] = errs
+                flags[:, :, rep] = flg
+
+    return {est: _risk_report(config, est, errors[e], flags[e]) for e, est in enumerate(ids)}
+
+
+def empirical_risk(config: ExperimentConfig, threads: int | None = None) -> RiskReport:
+    """:func:`empirical_risks` for the one estimator ``config.estimator_id``."""
+    return empirical_risks(config, (config.estimator_id,), threads)[config.estimator_id]
 
 
 def minimax_ratio(report: RiskReport, config: ExperimentConfig) -> float:

@@ -260,12 +260,11 @@ def _bound_sup_xtz(point):
     return math.exp(-n / 2.0) + (math.sqrt(2.0) * math.e * k_star / p) ** k_star
 
 
-def sup_xtz_exact(X, z, k_star: int, enum_cap: int = 10**5) -> float:
+def sup_xtz_exact(X, z, k_star: int) -> float:
     """sup over supports |T| = k_star of ||X_T' z||_2, computed separably
     as the top k_star squared column correlations. The brute enumeration
-    equivalent (capped at C(p, k_star) <= enum_cap) exists for
-    cross-checks; the separable form is exact because the squared norm is
-    a sum over T's members."""
+    equivalent is sup_xtz_brute, for cross-checks; the separable form is
+    exact because the squared norm is a sum over T's members."""
     X = np.asarray(X, dtype=np.float64)
     z = np.ascontiguousarray(z, dtype=np.float64)
     p = X.shape[1]

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from sparse_minimax.cli import _parse_grid_text, _resolve_threads, run
+from sparse_minimax.cli import _parse_grid_text, run
+from sparse_minimax.risk import worker_count
 
 RISK_CFG = """
 n = 30
@@ -272,11 +273,32 @@ def test_console_script_is_installed():
     assert "simulate-risk" in proc.stdout
 
 
-def test_threads_env_wins_over_flag(monkeypatch):
+def test_threads_env_wins_over_flag(tmp_path, risk_config, monkeypatch):
     monkeypatch.setenv("SPARSE_MINIMAX_THREADS", "2")
-    assert _resolve_threads(8) == 2
+    assert worker_count(8) == 2
     monkeypatch.setenv("SPARSE_MINIMAX_THREADS", "0")
     with pytest.raises(Exception, match="SPARSE_MINIMAX_THREADS"):
-        _resolve_threads(None)
+        worker_count(None)
+    code, _ = _run_simulate(tmp_path, risk_config, extra=("--threads", "2"))
+    assert code == 1
     monkeypatch.delenv("SPARSE_MINIMAX_THREADS")
-    assert _resolve_threads(5) == 5
+    assert worker_count(5) == 5
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_files_match_separate_runs(tmp_path, threads):
+    estimators = ("oracle", "lasso", "slope")
+    cfg = tmp_path / "risk.cfg"
+    cfg.write_text(RISK_CFG)
+    sweep = tmp_path / "sweep"
+    sweep.mkdir()
+    argv = ["sweep", "--config", str(cfg), "--estimators", ",".join(estimators), "--out", str(sweep)]
+    assert run(argv + ["--threads", threads]) == 0
+    for est in estimators:
+        est_cfg = tmp_path / f"{est}.cfg"
+        est_cfg.write_text(RISK_CFG.replace("estimator_id = oracle", f"estimator_id = {est}"))
+        alone = tmp_path / est
+        alone.mkdir()
+        assert run(["simulate-risk", "--config", str(est_cfg), "--out", str(alone), "--threads", threads]) == 0
+        for name in (f"risk_{est}.csv", f"risk_{est}.tsv", f"summary_{est}.json"):
+            assert (sweep / name).read_bytes() == (alone / name).read_bytes()

@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sparse_minimax.config import (
     experiment_config_from_mapping,
@@ -154,3 +158,30 @@ def test_lemma_validation():
         lemma_config_from_mapping(parse_kv_text(LEMMA + "k_star = 3\n"))
     with pytest.raises(ValueError, match="k_star"):
         lemma_config_from_mapping(parse_kv_text(LEMMA + "k_star = 80\n"))
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(field=st.sampled_from(["sigma", "eps", "slope_q", "noise_scale", "amplitudes"]), bad=NON_FINITE,
+       at=st.integers(0, 2))
+def test_experiment_config_rejects_non_finite_floats(field, bad, at):
+    kwargs = dict(n=100, p=50, k=5, sigma=1.0, eps=0.1, estimator_id="lasso",
+                  amplitudes=(1.0, 2.5, 4.0), reps=10, master_seed=42, noise_scale=1.0)
+    if field == "amplitudes":
+        amps = list(kwargs["amplitudes"])
+        amps[at] = bad
+        kwargs["amplitudes"] = tuple(amps)
+    else:
+        kwargs[field] = bad
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ExperimentConfig(**kwargs)
+
+
+@given(key=st.sampled_from(["sigma", "eps", "amplitude", "delta0", "delta1", "delta2", "delta3", "q"]),
+       bad=NON_FINITE)
+def test_lemma_config_rejects_non_finite_floats(key, bad):
+    mapping = parse_kv_text(LEMMA)
+    mapping[key] = repr(bad)  # the text forms nan, inf and -inf all parse
+    with pytest.raises(ValueError, match=f"'{key}' must be finite"):
+        lemma_config_from_mapping(mapping)

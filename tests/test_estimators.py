@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression
 
 from sparse_minimax.design import GaussianDesign, Instance, NoiseVector, gen_design, make_signal, synthesize
+from sparse_minimax import _kernels
 from sparse_minimax.estimators import (
+    BacktrackingError,
     CapacityError,
     LassoConfig,
     SlopeConfig,
@@ -418,3 +420,57 @@ def test_result_to_json_round_trip(rng):
     payload = res.to_json()
     assert set(payload) == {"beta_hat", "iterations", "kkt_residual", "objective", "converged"}
     assert payload["converged"] is True
+
+
+def test_fits_reject_non_finite_response(rng):
+    X = rng.standard_normal((20, 8))
+    for bad in (math.nan, math.inf):
+        y = rng.standard_normal(20)
+        y[3] = bad
+        with pytest.raises(ValueError, match="y must be finite"):
+            lasso_fit(X, y, LassoConfig(lam=0.1))
+        with pytest.raises(ValueError, match="y must be finite"):
+            slope_fit(X, y, SlopeConfig(lambda_seq=np.full(8, 0.1)))
+        with pytest.raises(ValueError, match="y must be finite"):
+            mle_best_subset(X, y, 2)
+
+
+def test_slope_step_search_is_bounded(rng):
+    # X is not scanned for non-finite entries, so a NaN reaches the step
+    # search, which used to halve the step to 0 and divide by it
+    X = rng.standard_normal((20, 8))
+    X[4, 2] = math.nan
+    y = rng.standard_normal(20)
+    with pytest.raises(BacktrackingError, match="halved the step"):
+        slope_fit(X, y, SlopeConfig(lambda_seq=np.full(8, 0.1), lipschitz=1.0))
+
+
+def test_slope_long_backtracking_still_converges(rng):
+    # a start step 10^6 times too large needs about 20 halvings, well
+    # inside the cap, and reaches the same solution
+    X = rng.standard_normal((50, 15))
+    y = X[:, 1] - X[:, 4] + 0.3 * rng.standard_normal(50)
+    seq = slope_lambda_seq(0.1, 1.0, 50, 15, 0.5)
+    ref = slope_fit(X, y, SlopeConfig(lambda_seq=seq, tol=1e-10))
+    far = slope_fit(X, y, SlopeConfig(lambda_seq=seq, tol=1e-10, lipschitz=1e-6))
+    assert ref.converged and far.converged
+    assert np.allclose(far.beta_hat, ref.beta_hat, rtol=0, atol=1e-7)
+
+
+def test_precomputed_design_quantities_change_no_bit(rng):
+    X = np.asfortranarray(rng.standard_normal((40, 12)))
+    z = rng.standard_normal(40)
+    beta = np.zeros(12)
+    beta[:2] = 1.5
+    y = X @ beta + z
+    col_sq = np.asarray(_kernels.col_sumsq(X))
+    cold = lasso_fit(X, y, LassoConfig(lam=0.2))
+    cached = lasso_fit(X, y, LassoConfig(lam=0.2), col_sq=col_sq)
+    assert np.array_equal(cached.beta_hat, cold.beta_hat)
+    assert cached.kkt_residual == cold.kkt_residual
+    xtz = np.asarray(_kernels.xt_dot(X, z))
+    assert np.array_equal(oracle_estimator(beta, X, z, 0.2, xtz=xtz), oracle_estimator(beta, X, z, 0.2))
+    with pytest.raises(ValueError, match="col_sq"):
+        lasso_fit(X, y, LassoConfig(lam=0.2), col_sq=col_sq[:5])
+    with pytest.raises(ValueError, match="xtz"):
+        oracle_estimator(beta, X, z, 0.2, xtz=xtz[:5])

@@ -14,6 +14,7 @@ from sparse_minimax.estimators import EstimatorResult, lambda_eps, mle_best_subs
 from sparse_minimax.risk import (
     ExperimentConfig,
     empirical_risk,
+    empirical_risks,
     minimax_denominator,
     minimax_ratio,
     mle_moment_estimate,
@@ -183,7 +184,7 @@ def test_replicates_and_amplitudes_fill_error_matrix():
 
 
 def test_nonconvergence_aborts(monkeypatch):
-    def refuse(X, y, config, b0=None):
+    def refuse(X, y, config, b0=None, col_sq=None):
         return EstimatorResult(np.zeros(X.shape[1]), 0, 1.0, 0.0, False)
 
     monkeypatch.setattr(risk_mod, "lasso_fit", refuse)
@@ -316,3 +317,54 @@ def test_worker_count_env(monkeypatch):
         worker_count()
     monkeypatch.delenv("SPARSE_MINIMAX_THREADS")
     assert worker_count() >= 1
+
+
+def test_worker_count_resolution(monkeypatch):
+    # a pure function of the environment, the request and the CPU affinity
+    monkeypatch.delenv("SPARSE_MINIMAX_THREADS", raising=False)
+    monkeypatch.setattr(risk_mod.os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    assert worker_count() == 3
+    assert worker_count(7) == 7
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        worker_count(0)
+    monkeypatch.setenv("SPARSE_MINIMAX_THREADS", "many")
+    with pytest.raises(ValueError, match="SPARSE_MINIMAX_THREADS must be an integer"):
+        worker_count(7)
+
+
+def test_shared_replicate_loop_draws_each_design_once(monkeypatch):
+    drawn = []
+    real_gen_design = risk_mod.gen_design
+
+    def counting_gen_design(n, p, seed):
+        drawn.append(seed)
+        return real_gen_design(n, p, seed)
+
+    monkeypatch.setattr(risk_mod, "gen_design", counting_gen_design)
+    cfg = ExperimentConfig(
+        n=40,
+        p=20,
+        k=2,
+        sigma=1.0,
+        eps=0.1,
+        estimator_id="oracle",
+        amplitudes=(1.0, 3.0, 6.0),
+        reps=3,
+        master_seed=5,
+    )
+    reports = empirical_risks(cfg, ["oracle", "lasso", "slope"], threads=1)
+    assert len(drawn) == cfg.reps
+    assert list(reports) == ["oracle", "lasso", "slope"]
+    for est, report in reports.items():
+        alone = empirical_risk(replace(cfg, estimator_id=est), threads=1)
+        assert report.to_json() == alone.to_json()
+
+
+def test_empirical_risks_validation():
+    cfg = _oracle_config()
+    with pytest.raises(ValueError, match="at least one"):
+        empirical_risks(cfg, [])
+    with pytest.raises(ValueError, match="'ridge'"):
+        empirical_risks(cfg, ["oracle", "ridge"])
+    # a repeated id is fitted once
+    assert list(empirical_risks(cfg, ["oracle", "oracle"], threads=1)) == ["oracle"]
