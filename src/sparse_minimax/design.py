@@ -157,6 +157,9 @@ def dump_instance(instance: Instance, path: str) -> None:
 
 
 def load_instance(path: str) -> Instance:
+    """Read a :func:`dump_instance` file. Every payload must be finite: a
+    loaded file is the one way a design enters from outside, and the
+    solvers do not scan X."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
         if header.get("format") != _DUMP_MAGIC:
@@ -166,6 +169,9 @@ def load_instance(path: str) -> Instance:
         z = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
         beta = np.frombuffer(fh.read(8 * p), dtype="<f8")
         y = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
+    for name, payload in (("X", x), ("z", z), ("beta", beta), ("y", y)):
+        if not np.all(np.isfinite(payload)):
+            raise ValueError(f"{path}: {name} must be finite")
     design = GaussianDesign(n=n, p=p, entries=np.asfortranarray(x), seed=None)
     support = np.flatnonzero(beta).astype(np.intp)
     signal = SparseSignal(p=p, support=support, values=beta[support].copy())

@@ -53,10 +53,10 @@ class LassoConfig:
     max_iter: int = 100_000
 
     def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
-        if self.tol is not None and not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
+        if self.tol is not None and not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
@@ -65,10 +65,12 @@ class LassoConfig:
 class SlopeConfig:
     """Weight sequence and stopping rule for :func:`slope_fit`.
 
-    ``lambda_seq`` must be non-increasing and nonnegative. ``lipschitz``
-    optionally supplies sigma_max(X)^2/n when the caller already knows it
-    (e.g. reused across fits on one design); ``None`` lets the solver
-    estimate it.
+    ``lambda_seq`` must be finite, non-increasing and nonnegative.
+    ``lipschitz`` is the start value of the curvature estimate behind the
+    step 1/lipschitz, e.g. sigma_max(X)^2/n or a bound shared across fits
+    on one design; the step search halves the step whenever it fails the
+    majorization test, so the value need not be an upper bound. ``None``
+    starts from :func:`_spectral_bound` of the design.
     """
 
     lambda_seq: np.ndarray
@@ -80,17 +82,19 @@ class SlopeConfig:
         seq = np.asarray(self.lambda_seq, dtype=np.float64)
         if seq.ndim != 1 or seq.size == 0:
             raise ValueError("lambda_seq must be a nonempty 1-D sequence")
+        if not np.all(np.isfinite(seq)):
+            raise ValueError("lambda_seq must be finite")
         if np.any(np.diff(seq) > 0):
             raise ValueError("lambda_seq must be non-increasing")
         if seq[-1] < 0:
             raise ValueError("lambda_seq must be nonnegative")
         object.__setattr__(self, "lambda_seq", seq)
-        if self.tol is not None and not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.tol is not None and not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.lipschitz is not None and not self.lipschitz > 0:
-            raise ValueError("lipschitz must be positive when given")
+        if self.lipschitz is not None and not 0 < self.lipschitz < math.inf:
+            raise ValueError(f"lipschitz must be finite and positive when given, got {self.lipschitz}")
 
 
 @dataclass(frozen=True)
@@ -162,15 +166,23 @@ def _kkt_from_grad(gn: np.ndarray, b: np.ndarray, lam: float) -> float:
     return float(viol.max(initial=0.0))
 
 
-def lasso_fit(X, y, config: LassoConfig, b0=None, col_sq=None) -> EstimatorResult:
+def _design_vector(v, p: int, name: str) -> np.ndarray:
+    """A caller-supplied per-column quantity of the design, shape-checked."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (p,):
+        raise ValueError(f"{name} has shape {v.shape}, expected ({p},)")
+    return v
+
+
+def lasso_fit(X, y, config: LassoConfig, b0=None, col_sq=None, xty=None) -> EstimatorResult:
     """Solve argmin_b (1/2n)||y - Xb||^2 + lam*||b||_1 by cyclic coordinate
     minimization over an active set that grows on KKT violations.
 
     The returned ``kkt_residual`` is checked against the full design, so a
     ``converged`` result certifies every coordinate, not just active ones.
     ``b0`` warm-starts the sweep. ``col_sq`` supplies the squared column
-    norms of X when the caller already has them (e.g. reused across fits
-    on one design).
+    norms of X and ``xty`` the product X'y when the caller already has
+    them (e.g. reused across fits on one design or one response).
     """
     X = _as_design(X)
     n, p = X.shape
@@ -180,15 +192,13 @@ def lasso_fit(X, y, config: LassoConfig, b0=None, col_sq=None) -> EstimatorResul
 
     lam = config.lam
     lam_n = lam * n
-    if col_sq is None:
-        col_sq = _k.col_sumsq(X)
-    col_sq = np.asarray(col_sq, dtype=np.float64)
-    if col_sq.shape != (p,):
-        raise ValueError(f"col_sq has shape {col_sq.shape}, expected ({p},)")
+    col_sq = _design_vector(_k.col_sumsq(X) if col_sq is None else col_sq, p, "col_sq")
+    if xty is not None:
+        xty = _design_vector(xty, p, "xty")
     if b0 is None:
         w = np.zeros(p)
         r = y.copy()
-        g = np.asarray(_k.xt_dot(X, y))
+        g = xty = np.asarray(_k.xt_dot(X, y)) if xty is None else xty
     else:
         w = np.array(b0, dtype=np.float64, copy=True)
         if w.shape != (p,):
@@ -199,8 +209,9 @@ def lasso_fit(X, y, config: LassoConfig, b0=None, col_sq=None) -> EstimatorResul
 
     tol = config.tol
     if tol is None:
-        gy = np.abs(np.asarray(_k.xt_dot(X, y))).max(initial=0.0) if b0 is not None else np.abs(g).max(initial=0.0)
-        tol = 1e-8 * max(1.0, gy / n)
+        if xty is None:
+            xty = np.asarray(_k.xt_dot(X, y))
+        tol = 1e-8 * max(1.0, np.abs(xty).max(initial=0.0) / n)
 
     active = np.union1d(np.flatnonzero(np.abs(g) > lam_n), np.flatnonzero(w)).astype(np.intp)
     delta_tol = 0.1 * tol * n / max(1.0, float(col_sq.max(initial=0.0)))
@@ -291,22 +302,23 @@ def _slope_objective(r: np.ndarray, b: np.ndarray, lam: np.ndarray, n: int) -> f
     return 0.5 * float(r @ r) / n + pen
 
 
-def _spectral_bound(X: np.ndarray) -> float:
-    """sigma_max(X)^2 / n: exact for small matrices, power iteration with a
-    safety factor otherwise."""
+def _spectral_bound(X: np.ndarray, col_sq=None) -> float:
+    """Start value for SLOPE's curvature estimate, near sigma_max(X)^2 / n.
+
+    Exact (by SVD) for small matrices. Otherwise the Gaussian edge
+    (1 + sqrt(p/n))^2, which sigma_max(X)^2/n approaches for i.i.d. N(0,1)
+    entries (Davidson & Szarek 2001), scaled by the mean squared column norm
+    over n so that designs with rescaled columns get a step of the right
+    order. It is an estimate, not a bound: the FISTA step search backtracks
+    from it. ``col_sq`` supplies the squared column norms when the caller
+    already has them.
+    """
     n, p = X.shape
     if n * p <= 250_000:
         s = np.linalg.svd(X, compute_uv=False)
         return float(s[0] ** 2) / n if s.size else 0.0
-    v = np.full(p, 1.0 / math.sqrt(p))
-    for _ in range(30):
-        u = np.asarray(_k.xt_dot(X, np.asarray(_k.x_dot_dense(X, v))))
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0:
-            return 0.0
-        v = u / nu
-    xv = np.asarray(_k.x_dot_dense(X, v))
-    return 1.05 * float(xv @ xv) / n
+    col_sq = _design_vector(_k.col_sumsq(X) if col_sq is None else col_sq, p, "col_sq")
+    return (1.0 + math.sqrt(p / n)) ** 2 * float(col_sq.sum()) / (n * p)
 
 
 def _fista_on_slab(Xw, y, lam_w, b_init, t, tol_inner, it_cap, n):
@@ -357,7 +369,7 @@ def _fista_on_slab(Xw, y, lam_w, b_init, t, tol_inner, it_cap, n):
     return b, rb, it, t
 
 
-def slope_fit(X, y, config: SlopeConfig, b0=None) -> EstimatorResult:
+def slope_fit(X, y, config: SlopeConfig, b0=None, xty=None) -> EstimatorResult:
     """Solve argmin_b (1/2n)||y - Xb||^2 + sum_i lambda_i |b|_(i).
 
     Proximal gradient (FISTA) on a working set of columns, with the prox of
@@ -366,7 +378,9 @@ def slope_fit(X, y, config: SlopeConfig, b0=None) -> EstimatorResult:
     off-set zeros absorb the smallest weights at zero cost. Convergence is
     certified on the full design: kkt_residual is the prox-gradient
     fixed-point residual ||b - prox_{t J}(b + t X'r/n)||_inf / t, which
-    vanishes exactly at solutions for any step t > 0.
+    vanishes exactly at solutions for any step t > 0. ``xty`` supplies
+    X'y when the caller already has it (e.g. shared with a Lasso fit on the
+    same response).
     """
     X = _as_design(X)
     n, p = X.shape
@@ -384,9 +398,13 @@ def slope_fit(X, y, config: SlopeConfig, b0=None) -> EstimatorResult:
     idx = np.flatnonzero(b).astype(np.intp)
     r = y - np.asarray(_k.x_dot_sparse(X, idx, b[idx]))
 
+    if xty is not None:
+        xty = _design_vector(xty, p, "xty")
     tol = config.tol
     if tol is None:
-        tol = 1e-8 * max(1.0, float(np.abs(np.asarray(_k.xt_dot(X, y))).max(initial=0.0)) / n)
+        if xty is None:
+            xty = np.asarray(_k.xt_dot(X, y))
+        tol = 1e-8 * max(1.0, float(np.abs(xty).max(initial=0.0)) / n)
 
     lip = config.lipschitz if config.lipschitz is not None else _spectral_bound(X)
     if lip <= 0.0:
@@ -492,9 +510,7 @@ def oracle_estimator(beta, X, z, lam: float, xtz=None) -> np.ndarray:
     n, p = X.shape
     if beta.shape != (p,) or z.shape != (n,):
         raise ValueError(f"shape mismatch: X {X.shape}, beta {beta.shape}, z {z.shape}")
-    xtz = np.asarray(_k.xt_dot(X, z) if xtz is None else xtz, dtype=np.float64)
-    if xtz.shape != (p,):
-        raise ValueError(f"xtz has shape {xtz.shape}, expected ({p},)")
+    xtz = _design_vector(_k.xt_dot(X, z) if xtz is None else xtz, p, "xtz")
     return soft_threshold(beta + xtz / n, lam)
 
 

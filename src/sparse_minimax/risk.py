@@ -251,18 +251,20 @@ def _replicate_errors(config: ExperimentConfig, ids, rep: int, lam: float, seq, 
     for one replicate of every estimator in ``ids``.
 
     Pure function of (config, ids, rep): the design, noise, and any support
-    draw all come from the replicate's own stream. The design is drawn once
-    and its column norms, X'z and spectral bound are computed at most once,
-    when an estimator first needs them. Each depends only on the design and
-    the noise, which every amplitude shares (z is the noise role's slot 0),
-    so sharing them leaves each estimator's bytes as they are when it runs
-    alone.
+    draw all come from the replicate's own stream. The design is drawn once,
+    and its column norms, X'z and SLOPE's start step are computed once per
+    replicate; each depends only on the design and the noise, which every
+    amplitude shares (z is the noise role's slot 0). X'y is computed once
+    per amplitude for the Lasso and SLOPE. Sharing them leaves each
+    estimator's bytes as they are when it runs alone.
     """
     spec = SeedSpec(config.master_seed, rep)
     design = gen_design(config.n, config.p, spec)
     X = design.entries
-    col_sq = xtz = None
-    lip = _spectral_bound(X) if "slope" in ids else None
+    iterative = "lasso" in ids or "slope" in ids  # the fits that use col_sq and X'y
+    col_sq = np.asarray(_k.col_sumsq(X)) if iterative else None
+    lip = _spectral_bound(X, col_sq) if "slope" in ids else None
+    xtz = None
 
     errs = np.empty((len(ids), len(amps_abs)))
     flags = np.zeros((len(ids), len(amps_abs)), dtype=bool)
@@ -271,19 +273,20 @@ def _replicate_errors(config: ExperimentConfig, ids, rep: int, lam: float, seq, 
         signal = make_signal(config.p, config.k, amp, config.support_rule, spec)
         inst = synthesize(design, signal, config.sigma, spec)
         beta = signal.dense()
+        xty = np.asarray(_k.xt_dot(X, inst.response)) if iterative else None
         for e, est in enumerate(ids):
             if est == "oracle":
                 if xtz is None:
                     xtz = np.asarray(_k.xt_dot(X, inst.noise.z))
                 beta_hat = oracle_estimator(beta, X, inst.noise.z, lam, xtz=xtz)
             elif est == "lasso":
-                if col_sq is None:
-                    col_sq = np.asarray(_k.col_sumsq(X))
-                res = lasso_fit(X, inst.response, LassoConfig(lam=lam), b0=warm[e], col_sq=col_sq)
+                res = lasso_fit(X, inst.response, LassoConfig(lam=lam), b0=warm[e], col_sq=col_sq, xty=xty)
                 beta_hat = warm[e] = res.beta_hat
                 flags[e, a] = not res.converged
             elif est == "slope":
-                res = slope_fit(X, inst.response, SlopeConfig(lambda_seq=seq, lipschitz=lip), b0=warm[e])
+                res = slope_fit(
+                    X, inst.response, SlopeConfig(lambda_seq=seq, lipschitz=lip), b0=warm[e], xty=xty
+                )
                 beta_hat = warm[e] = res.beta_hat
                 flags[e, a] = not res.converged
             elif est == "mle":

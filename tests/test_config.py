@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from sparse_minimax.config import (
     parse_kv_text,
     render_kv,
 )
+from sparse_minimax.estimators import LassoConfig, SlopeConfig
 from sparse_minimax.risk import ExperimentConfig
 
 BASIC = """
@@ -185,3 +187,22 @@ def test_lemma_config_rejects_non_finite_floats(key, bad):
     mapping[key] = repr(bad)  # the text forms nan, inf and -inf all parse
     with pytest.raises(ValueError, match=f"'{key}' must be finite"):
         lemma_config_from_mapping(mapping)
+
+
+@given(field=st.sampled_from(["lam", "lasso tol", "lambda_seq", "slope tol", "lipschitz"]), bad=NON_FINITE,
+       at=st.integers(0, 2))
+def test_solver_configs_reject_non_finite_floats(field, bad, at):
+    seq = np.array([0.3, 0.2, 0.1])
+    if field == "lambda_seq":
+        seq[at] = bad
+    with pytest.raises(ValueError, match=field.split()[-1]):
+        if field == "lam":
+            LassoConfig(lam=bad)
+        elif field == "lasso tol":
+            LassoConfig(lam=0.1, tol=bad)
+        elif field == "slope tol":
+            SlopeConfig(lambda_seq=seq, tol=bad)
+        elif field == "lipschitz":
+            SlopeConfig(lambda_seq=seq, lipschitz=bad)
+        else:
+            SlopeConfig(lambda_seq=seq)

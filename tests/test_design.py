@@ -121,6 +121,23 @@ def test_dump_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("field", ["X", "z", "beta", "y"])
+def test_load_rejects_non_finite_payloads(tmp_path, field):
+    n, p = 9, 4
+    spec = SeedSpec(31, 7)
+    inst = synthesize(gen_design(n, p, spec), make_signal(p, 2, 1.0), 1.0, spec)
+    path = tmp_path / "inst.bin"
+    dump_instance(inst, path)
+    raw = bytearray(path.read_bytes())
+    header_end = raw.index(b"\n") + 1
+    start = {"X": 0, "z": n * p, "beta": n * p + n, "y": n * p + n + p}[field]
+    at = header_end + 8 * (start + 1)  # second entry of the payload
+    raw[at : at + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        load_instance(path)
+
+
 def test_load_rejects_foreign_files(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"not an instance payload")

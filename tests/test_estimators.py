@@ -17,6 +17,7 @@ from sparse_minimax.estimators import (
     CapacityError,
     LassoConfig,
     SlopeConfig,
+    _spectral_bound,
     aggregated_estimate,
     lambda_eps,
     lasso_fit,
@@ -470,7 +471,59 @@ def test_precomputed_design_quantities_change_no_bit(rng):
     assert cached.kkt_residual == cold.kkt_residual
     xtz = np.asarray(_kernels.xt_dot(X, z))
     assert np.array_equal(oracle_estimator(beta, X, z, 0.2, xtz=xtz), oracle_estimator(beta, X, z, 0.2))
+    # X'y: the cold Lasso's first gradient, and the tol rule of the warm
+    # Lasso and of SLOPE (cold and warm)
+    xty = np.asarray(_kernels.xt_dot(X, y))
+    warm_start = 0.5 * cold.beta_hat
+    warm = lasso_fit(X, y, LassoConfig(lam=0.2), b0=warm_start)
+    seq = slope_lambda_seq(0.1, 1.0, 40, 12, 0.5)
+    slope_cold = slope_fit(X, y, SlopeConfig(lambda_seq=seq))
+    slope_warm = slope_fit(X, y, SlopeConfig(lambda_seq=seq), b0=warm_start)
+    for plain, shared in (
+        (cold, lasso_fit(X, y, LassoConfig(lam=0.2), xty=xty)),
+        (warm, lasso_fit(X, y, LassoConfig(lam=0.2), b0=warm_start, col_sq=col_sq, xty=xty)),
+        (slope_cold, slope_fit(X, y, SlopeConfig(lambda_seq=seq), xty=xty)),
+        (slope_warm, slope_fit(X, y, SlopeConfig(lambda_seq=seq), b0=warm_start, xty=xty)),
+    ):
+        assert np.array_equal(shared.beta_hat, plain.beta_hat)
+        assert shared.kkt_residual == plain.kkt_residual
+        assert shared.iterations == plain.iterations
     with pytest.raises(ValueError, match="col_sq"):
         lasso_fit(X, y, LassoConfig(lam=0.2), col_sq=col_sq[:5])
     with pytest.raises(ValueError, match="xtz"):
         oracle_estimator(beta, X, z, 0.2, xtz=xtz[:5])
+    with pytest.raises(ValueError, match="xty"):
+        lasso_fit(X, y, LassoConfig(lam=0.2), xty=xty[:5])
+    with pytest.raises(ValueError, match="xty"):
+        slope_fit(X, y, SlopeConfig(lambda_seq=seq), xty=xty[:5])
+
+
+def test_gaussian_edge_tracks_the_spectral_norm():
+    X = gen_design(400, 800, SeedSpec(21)).entries
+    exact = float(np.linalg.svd(X, compute_uv=False)[0] ** 2) / 400
+    assert _spectral_bound(X) == pytest.approx(exact, rel=0.10)
+    # the same estimate from column norms the caller already has
+    col_sq = np.asarray(_kernels.col_sumsq(X))
+    assert _spectral_bound(X, col_sq) == _spectral_bound(X)
+
+
+def test_slope_on_unit_norm_columns_past_the_svd_cutoff():
+    # unit-norm columns make sigma_max(X)^2/n about n times smaller than
+    # for raw N(0,1) entries; the start step must scale with them
+    n, p = 300, 1000
+    X = gen_design(n, p, SeedSpec(23)).entries
+    X = np.asfortranarray(X / np.sqrt(np.asarray(_kernels.col_sumsq(X))))
+    beta = np.zeros(p)
+    beta[:4] = 3.0
+    y = X @ beta + 0.05 * np.random.default_rng(5).standard_normal(n)
+    seq = slope_lambda_seq(0.1, 0.05, n, p, 0.5) / math.sqrt(n)
+    exact = float(np.linalg.svd(X, compute_uv=False)[0] ** 2) / n
+    assert _spectral_bound(X) == pytest.approx(exact, rel=0.10)
+    est = slope_fit(X, y, SlopeConfig(lambda_seq=seq, tol=1e-11))
+    ref = slope_fit(X, y, SlopeConfig(lambda_seq=seq, tol=1e-11, lipschitz=exact))
+    assert est.converged and ref.converged
+    assert np.count_nonzero(est.beta_hat) >= 4
+    assert np.allclose(est.beta_hat, ref.beta_hat, rtol=0, atol=1e-7)
+    # an unscaled edge would start with a step n times too small: still
+    # convergent, but in about 20 times the iterations
+    assert est.iterations <= 2 * ref.iterations

@@ -184,7 +184,7 @@ def test_replicates_and_amplitudes_fill_error_matrix():
 
 
 def test_nonconvergence_aborts(monkeypatch):
-    def refuse(X, y, config, b0=None, col_sq=None):
+    def refuse(X, y, config, b0=None, col_sq=None, xty=None):
         return EstimatorResult(np.zeros(X.shape[1]), 0, 1.0, 0.0, False)
 
     monkeypatch.setattr(risk_mod, "lasso_fit", refuse)
@@ -368,3 +368,32 @@ def test_empirical_risks_validation():
         empirical_risks(cfg, ["oracle", "ridge"])
     # a repeated id is fitted once
     assert list(empirical_risks(cfg, ["oracle", "oracle"], threads=1)) == ["oracle"]
+
+
+def test_slope_past_the_svd_cutoff_needs_no_power_iteration(monkeypatch):
+    # 300 x 900 is past the exact-SVD size, so the start step comes from the
+    # Gaussian edge; no full-design X v product is made anywhere in the run
+    from sparse_minimax import _kernels
+
+    calls = []
+    real_x_dot_dense = _kernels.x_dot_dense
+
+    def counting_x_dot_dense(x, b):
+        calls.append(x.shape)
+        return real_x_dot_dense(x, b)
+
+    monkeypatch.setattr(_kernels, "x_dot_dense", counting_x_dot_dense)
+    cfg = ExperimentConfig(
+        n=300,
+        p=900,
+        k=3,
+        sigma=1.0,
+        eps=0.1,
+        estimator_id="slope",
+        amplitudes=(1.0, 4.0),
+        reps=2,
+        master_seed=11,
+    )
+    report = empirical_risks(cfg, ["lasso", "slope"], threads=1)["slope"]
+    assert calls == []
+    assert report.flagged == 0
