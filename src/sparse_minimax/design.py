@@ -5,6 +5,7 @@ full regression instances for the model y = X beta + z.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -157,22 +158,35 @@ def dump_instance(instance: Instance, path: str) -> None:
 
 
 def load_instance(path: str) -> Instance:
-    """Read a :func:`dump_instance` file. Every payload must be finite: a
-    loaded file is the one way a design enters from outside, and the
-    solvers do not scan X."""
+    """Read a :func:`dump_instance` file. The header's n and p must be
+    positive integers and its sigma finite and nonnegative; each payload
+    must have exactly the length the header implies, nothing may follow y,
+    and every payload must be finite: a loaded file is the one way a design
+    enters from outside, and the solvers do not scan X."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
         if header.get("format") != _DUMP_MAGIC:
             raise ValueError(f"not an instance dump: {path}")
-        n, p, sigma = header["n"], header["p"], header["sigma"]
-        x = np.frombuffer(fh.read(8 * n * p), dtype="<f8").reshape(n, p)
-        z = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
-        beta = np.frombuffer(fh.read(8 * p), dtype="<f8")
-        y = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
-    for name, payload in (("X", x), ("z", z), ("beta", beta), ("y", y)):
+        n, p, sigma = header.get("n"), header.get("p"), header.get("sigma")
+        for name, dim in (("n", n), ("p", p)):
+            if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+                raise ValueError(f"{path}: header {name} must be a positive integer, got {dim!r}")
+        if not isinstance(sigma, (int, float)) or isinstance(sigma, bool) or not (0 <= sigma < math.inf):
+            raise ValueError(f"{path}: header sigma must be finite and nonnegative, got {sigma!r}")
+        payloads = {}
+        for name, count in (("X", n * p), ("z", n), ("beta", p), ("y", n)):
+            raw = fh.read(8 * count)
+            if len(raw) != 8 * count:
+                raise ValueError(f"{path}: {name} payload has {len(raw)} bytes, expected {8 * count}")
+            payloads[name] = np.frombuffer(raw, dtype="<f8")
+        if fh.read(1):
+            raise ValueError(f"{path}: unexpected bytes after the y payload")
+    for name, payload in payloads.items():
         if not np.all(np.isfinite(payload)):
             raise ValueError(f"{path}: {name} must be finite")
+    x, beta = payloads["X"].reshape(n, p), payloads["beta"]
     design = GaussianDesign(n=n, p=p, entries=np.asfortranarray(x), seed=None)
     support = np.flatnonzero(beta).astype(np.intp)
     signal = SparseSignal(p=p, support=support, values=beta[support].copy())
-    return Instance(design=design, noise=NoiseVector(z=z, sigma=sigma), signal=signal, response=y)
+    noise = NoiseVector(z=payloads["z"].copy(), sigma=float(sigma))
+    return Instance(design=design, noise=noise, signal=signal, response=payloads["y"].copy())

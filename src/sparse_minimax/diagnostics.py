@@ -130,16 +130,20 @@ def sparse_min_eig(X, s: int, enum_cap: int = 10**6) -> float:
 
 def _project_cone(v: np.ndarray, rho: float, tol: float = 1e-10) -> np.ndarray:
     """Push v inside {||w||_1 <= rho ||w||_2} by soft thresholding at the
-    smallest level that restores the ratio, found by bisection."""
+    smallest level that restores the ratio, found by bisection.
+
+    Norms here and in _cone_descent are sqrt(x.dot(x)), which is what
+    numpy.linalg.norm computes for a real 1-D array, without its per-call
+    overhead (these vectors can be as short as p=50)."""
     a = np.abs(v)
-    l2 = float(np.linalg.norm(v))
+    l2 = math.sqrt(float(v.dot(v)))
     if l2 == 0.0 or float(a.sum()) <= rho * l2:
         return v.copy()
     lo, hi = 0.0, float(a.max())
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         w = np.maximum(a - mid, 0.0)
-        gap = float(w.sum()) - rho * float(np.linalg.norm(w))
+        gap = float(w.sum()) - rho * math.sqrt(float(w.dot(w)))
         if gap > 0.0:
             lo = mid
         else:
@@ -158,30 +162,34 @@ def _project_cone(v: np.ndarray, rho: float, tol: float = 1e-10) -> np.ndarray:
 def _cone_descent(matvec, v0: np.ndarray, rho: float, iters: int) -> tuple[float, np.ndarray]:
     """Projected descent of d'X'Xd/n on the unit sphere inside the cone.
     Returns (value, unit witness); only ever decreases the objective, so
-    the result is a certified upper bound at its witness."""
+    the result is a certified upper bound at its witness. Each point is
+    multiplied once: the accepted candidate's product is the next
+    gradient."""
     v = _project_cone(v0, rho)
-    nv = float(np.linalg.norm(v))
+    nv = math.sqrt(float(v.dot(v)))
     if nv == 0.0:
         v = np.zeros_like(v0)
         v[0] = 1.0
         nv = 1.0
     v = v / nv
-    f = float(v @ matvec(v))
+    mv = matvec(v)
+    f = float(v @ mv)
     for _ in range(iters):
-        g = 2.0 * matvec(v)
+        g = 2.0 * mv
         d = g - float(g @ v) * v
-        if float(np.linalg.norm(d)) < 1e-15:
+        if math.sqrt(float(d.dot(d))) < 1e-15:
             break
         eta = 0.5
         improved = False
         for _ in range(25):
             cand = _project_cone(v - eta * d, rho)
-            nc = float(np.linalg.norm(cand))
+            nc = math.sqrt(float(cand.dot(cand)))
             if nc > 0.0:
                 cand = cand / nc
-                fc = float(cand @ matvec(cand))
+                mc = matvec(cand)
+                fc = float(cand @ mc)
                 if fc < f - 1e-15:
-                    v, f = cand, fc
+                    v, f, mv = cand, fc, mc
                     improved = True
                     break
             eta *= 0.5

@@ -37,10 +37,37 @@ ESTIMATOR_IDS = ("lasso", "slope", "mle", "oracle", "aggregated")
 _THREADS_ENV = "SPARSE_MINIMAX_THREADS"
 
 
+def _read_cgroup_file(path: str) -> str | None:
+    """Stripped contents of a cgroup control file, or None if unreadable."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            return fh.read().strip()
+    except (OSError, UnicodeDecodeError):
+        return None
+
+
+def _cgroup_cpu_limit() -> int | None:
+    """CPUs granted by the cgroup CPU quota, rounded up; None when no quota
+    is set. Reads cgroup v2's cpu.max, else v1's cfs quota and period."""
+    v2 = _read_cgroup_file("/sys/fs/cgroup/cpu.max")
+    if v2 is not None:
+        quota, _, period = v2.partition(" ")
+    else:
+        quota = _read_cgroup_file("/sys/fs/cgroup/cpu/cpu.cfs_quota_us") or ""
+        period = _read_cgroup_file("/sys/fs/cgroup/cpu/cpu.cfs_period_us") or ""
+    try:
+        quota_us, period_us = int(quota), int(period)
+    except ValueError:  # "max", or no cgroup files at all
+        return None
+    if quota_us <= 0 or period_us <= 0:  # v1 writes -1 for no quota
+        return None
+    return -(-quota_us // period_us)
+
+
 def worker_count(requested: int | None = None) -> int:
     """Thread count for replicate loops: SPARSE_MINIMAX_THREADS if set,
     otherwise ``requested``, otherwise the number of CPUs this process may
-    run on. Results never depend on this."""
+    run on, capped by the cgroup CPU quota. Results never depend on this."""
     raw = os.environ.get(_THREADS_ENV)
     if raw is not None:
         try:
@@ -55,8 +82,11 @@ def worker_count(requested: int | None = None) -> int:
             raise ValueError(f"threads must be at least 1, got {requested}")
         return requested
     if hasattr(os, "sched_getaffinity"):  # Linux: honours CPU affinity
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        count = len(os.sched_getaffinity(0))
+    else:
+        count = os.cpu_count() or 1
+    limit = _cgroup_cpu_limit()
+    return count if limit is None else min(count, limit)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ row says so.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,7 +22,7 @@ from .estimators import _enum_count
 from .events import resolvent_set
 from .rng import ROLE_CELL, SeedSpec
 
-_CHUNK_BUDGET = 4_000_000  # doubles per draw chunk
+_CHUNK_BUDGET = 1_000_000  # doubles per draw buffer (8 MB)
 
 
 @dataclass(frozen=True)
@@ -80,14 +81,29 @@ class TailReport:
 
 def _chunked(gen: np.random.Generator, reps: int, width: int, f) -> np.ndarray:
     """Apply f to (chunk, width) standard-normal blocks; the draw order is
-    row-major and sequential, so the result is chunking-invariant."""
+    row-major and sequential, so the result is chunking-invariant.
+
+    f may overwrite its block. Blocks alternate between two buffers: the
+    calling thread draws the next block while one helper thread runs f on
+    the previous one (both release the GIL), and a buffer is refilled only
+    after f has returned on it.
+    """
     out = np.empty(reps)
-    step = max(1, _CHUNK_BUDGET // max(width, 1))
-    pos = 0
-    while pos < reps:
-        m = min(step, reps - pos)
-        out[pos : pos + m] = f(gen.standard_normal((m, width)))
-        pos += m
+    step = min(reps, max(1, _CHUNK_BUDGET // max(width, 1)))
+    buffers = (np.empty((step, width)), np.empty((step, width)))
+
+    def stat(lo: int, block: np.ndarray) -> None:
+        out[lo : lo + block.shape[0]] = f(block)
+
+    with ThreadPoolExecutor(1) as pool:
+        pending = None
+        for i, pos in enumerate(range(0, reps, step)):
+            block = buffers[i % 2][: min(step, reps - pos)]
+            gen.standard_normal(out=block)
+            if pending is not None:
+                pending.result()
+            pending = pool.submit(stat, pos, block)
+        pending.result()
     return out
 
 
@@ -99,13 +115,36 @@ def _top_abs(block: np.ndarray, count: int) -> np.ndarray:
     return -np.sort(-part, axis=1)
 
 
+def _kth_largest_abs(g: np.ndarray, k: int) -> np.ndarray:
+    """Per-row k-th largest |value|; overwrites g."""
+    p = g.shape[1]
+    np.abs(g, out=g)
+    g.partition(p - k, axis=1)
+    return g[:, p - k]
+
+
+def _median_ok(a: np.ndarray, head_levels: np.ndarray, tail_level: float) -> np.ndarray:
+    """Per-row indicator of the median event on a block of |g| values: the
+    sorted top k at most head_levels and the (k+1)-th at most tail_level.
+    A row whose largest value is at most every level passes outright, so
+    only the rare other rows are sorted."""
+    k = head_levels.size
+    ok = a.max(axis=1) <= min(float(head_levels.min()), tail_level)
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        top = _top_abs(a[rest], k + 1)
+        ok[rest] = (top[:, :k] <= head_levels).all(axis=1) & (top[:, k] <= tail_level)
+    return ok
+
+
 # --- samplers ---------------------------------------------------------------
 
 
 def _sim_chi2_lower(point, spec, reps, slot):
     d, tau = point["d"], point["tau"]
     gen = spec.generator(ROLE_CELL, slot)
-    vals = _chunked(gen, reps, d, lambda g: ((g * g).sum(axis=1) < d * (1.0 - tau)).astype(float))
+    level = d * (1.0 - tau)
+    vals = _chunked(gen, reps, d, lambda g: (np.multiply(g, g, out=g).sum(axis=1) < level).astype(float))
     return vals, 0.0
 
 
@@ -120,14 +159,14 @@ def _sim_gauss_max(point, spec, reps, slot):
     p, u = point["p"], point["u"]
     level = math.sqrt(2.0 * math.log(p)) + u
     gen = spec.generator(ROLE_CELL, slot)
-    vals = _chunked(gen, reps, p, lambda g: (np.abs(g).max(axis=1) >= level).astype(float))
+    vals = _chunked(gen, reps, p, lambda g: (np.abs(g, out=g).max(axis=1) >= level).astype(float))
     return vals, 0.0
 
 
 def _sim_order_mean(point, spec, reps, slot):
     p, k = point["p"], point["k"]
     gen = spec.generator(ROLE_CELL, slot)
-    vals = _chunked(gen, reps, p, lambda g: np.partition(np.abs(g), p - k, axis=1)[:, p - k])
+    vals = _chunked(gen, reps, p, lambda g: _kth_largest_abs(g, k))
     return vals, 0.0
 
 
@@ -141,13 +180,12 @@ def _bound_order_mean(point):
 def _sim_order_conc(point, spec, reps, slot):
     p, k, u = point["p"], point["k"], point["u"]
     gen_pilot = spec.generator(ROLE_CELL, slot + 1)
-    pilot = _chunked(gen_pilot, 100_000, p, lambda g: np.partition(np.abs(g), p - k, axis=1)[:, p - k])
+    pilot = _chunked(gen_pilot, 100_000, p, lambda g: _kth_largest_abs(g, k))
     mu_hat = float(pilot.mean())
     pilot_stderr = float(pilot.std(ddof=1) / math.sqrt(pilot.size))
     gen = spec.generator(ROLE_CELL, slot)
-    vals = _chunked(
-        gen, reps, p, lambda g: (np.partition(np.abs(g), p - k, axis=1)[:, p - k] - mu_hat >= u).astype(float)
-    )
+    kth = _chunked(gen, reps, p, lambda g: _kth_largest_abs(g, k))
+    vals = (kth - mu_hat >= u).astype(float)
     # the pilot's mean error shifts the event threshold; fold a generous
     # multiple into the frequency slack
     return vals, 10.0 * pilot_stderr
@@ -159,9 +197,9 @@ def _sim_topk_avg(point, spec, reps, slot):
     gen = spec.generator(ROLE_CELL, slot)
 
     def stat(g):
-        sq = g * g
-        top = np.partition(sq, p - s, axis=1)[:, p - s :]
-        return (top.mean(axis=1) > level).astype(float)
+        np.multiply(g, g, out=g)
+        g.partition(p - s, axis=1)
+        return (g[:, p - s :].mean(axis=1) > level).astype(float)
 
     vals = _chunked(gen, reps, p, stat)
     return vals, 0.0
@@ -180,13 +218,7 @@ def _sim_median_event(point, spec, reps, slot):
     tail_level = (1.0 + d1) * math.sqrt(2.0 * math.log(p / k))
     gen = spec.generator(ROLE_CELL, slot)
 
-    def stat(g):
-        top = _top_abs(g, k + 1)
-        head_ok = (top[:, :k] <= head_levels).all(axis=1)
-        tail_ok = top[:, k] <= tail_level
-        return (head_ok & tail_ok).astype(float)
-
-    vals = _chunked(gen, reps, p, stat)
+    vals = _chunked(gen, reps, p, lambda g: _median_ok(np.abs(g, out=g), head_levels, tail_level).astype(float))
     return vals, 0.0
 
 

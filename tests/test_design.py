@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +137,52 @@ def test_load_rejects_non_finite_payloads(tmp_path, field):
     raw[at : at + 8] = np.array([np.nan], dtype="<f8").tobytes()
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match=f"{field} must be finite"):
+        load_instance(path)
+
+
+def _dump(tmp_path, n=9, p=4):
+    spec = SeedSpec(31, 7)
+    inst = synthesize(gen_design(n, p, spec), make_signal(p, 2, 1.0), 1.0, spec)
+    path = tmp_path / "inst.bin"
+    dump_instance(inst, path)
+    return path
+
+
+def test_load_rejects_a_truncated_y(tmp_path):
+    path = _dump(tmp_path)
+    path.write_bytes(path.read_bytes()[:-16])  # y used to load with shape (7,)
+    with pytest.raises(ValueError, match="y payload has 56 bytes, expected 72"):
+        load_instance(path)
+
+
+def test_load_rejects_a_short_x(tmp_path):
+    path = _dump(tmp_path)
+    raw = path.read_bytes()
+    header_end = raw.index(b"\n") + 1
+    path.write_bytes(raw[: header_end + 8 * 30])
+    with pytest.raises(ValueError, match="X payload has 240 bytes, expected 288"):
+        load_instance(path)
+
+
+def test_load_rejects_a_trailing_byte(tmp_path):
+    path = _dump(tmp_path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match="after the y payload"):
+        load_instance(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("sigma", float("nan")), ("sigma", -1.0), ("sigma", "1"), ("n", 0), ("n", 9.0), ("p", True), ("p", None)],
+)
+def test_load_rejects_bad_headers(tmp_path, field, value):
+    path = _dump(tmp_path)
+    raw = path.read_bytes()
+    header_end = raw.index(b"\n") + 1
+    header = json.loads(raw[:header_end])
+    header[field] = value
+    path.write_bytes((json.dumps(header) + "\n").encode() + raw[header_end:])
+    with pytest.raises(ValueError, match=f"header {field} must be"):
         load_instance(path)
 
 

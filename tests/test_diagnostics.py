@@ -7,6 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from sparse_minimax import _kernels, diagnostics
 from sparse_minimax.design import gen_design
 from sparse_minimax.diagnostics import (
     c0_general,
@@ -139,6 +140,65 @@ def test_theta_estimate_improves_with_restarts(rng):
     lo = sre_theta_estimate(X, 2, 4.0, restarts=3, seed=SeedSpec(5))
     hi = sre_theta_estimate(X, 2, 4.0, restarts=12, seed=SeedSpec(5))
     assert hi.theta_upper <= lo.theta_upper + 1e-15
+
+
+def _descent_multiplying_twice(matvec, v0, rho, iters):
+    """The cone descent with a fresh product for every gradient, as it was
+    before the accepted candidate's product was reused."""
+    v = diagnostics._project_cone(v0, rho)
+    nv = float(np.linalg.norm(v))
+    if nv == 0.0:
+        v = np.zeros_like(v0)
+        v[0] = 1.0
+        nv = 1.0
+    v = v / nv
+    f = float(v @ matvec(v))
+    for _ in range(iters):
+        g = 2.0 * matvec(v)
+        d = g - float(g @ v) * v
+        if float(np.linalg.norm(d)) < 1e-15:
+            break
+        eta = 0.5
+        for _ in range(25):
+            cand = diagnostics._project_cone(v - eta * d, rho)
+            nc = float(np.linalg.norm(cand))
+            if nc > 0.0:
+                cand = cand / nc
+                fc = float(cand @ matvec(cand))
+                if fc < f - 1e-15:
+                    v, f = cand, fc
+                    break
+            eta *= 0.5
+        else:
+            break
+    return f, v
+
+
+def test_cone_descent_multiplies_each_point_once(monkeypatch):
+    X = gen_design(60, 1300, SeedSpec(3)).entries
+    assert X.shape[1] > diagnostics._GRAM_LIMIT  # matrix-free products
+    with monkeypatch.context() as m:
+        m.setattr(diagnostics, "_cone_descent", _descent_multiplying_twice)
+        reference = sre_theta_estimate(X, 2, 4.0, restarts=2, seed=SeedSpec(5))
+
+    points, evaluated = [], []
+    x_dot_dense, project_cone = _kernels.x_dot_dense, diagnostics._project_cone
+
+    def counting_x_dot_dense(X, v):
+        points.append(np.asarray(v).tobytes())
+        return x_dot_dense(X, v)
+
+    def counting_project_cone(v, rho, tol=1e-10):
+        out = project_cone(v, rho, tol)
+        evaluated.append(bool(np.any(out)))  # starts and candidates with nonzero norm
+        return out
+
+    monkeypatch.setattr(_kernels, "x_dot_dense", counting_x_dot_dense)
+    monkeypatch.setattr(diagnostics, "_project_cone", counting_project_cone)
+    est = sre_theta_estimate(X, 2, 4.0, restarts=2, seed=SeedSpec(5))
+    assert len(points) == sum(evaluated) == len(set(points)) > 2
+    assert est.theta_upper == reference.theta_upper
+    assert np.array_equal(est.argmin_vector, reference.argmin_vector)
 
 
 def test_theta_estimate_validation(rng):

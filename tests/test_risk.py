@@ -323,6 +323,7 @@ def test_worker_count_resolution(monkeypatch):
     # a pure function of the environment, the request and the CPU affinity
     monkeypatch.delenv("SPARSE_MINIMAX_THREADS", raising=False)
     monkeypatch.setattr(risk_mod.os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    monkeypatch.setattr(risk_mod, "_read_cgroup_file", lambda path: None)
     assert worker_count() == 3
     assert worker_count(7) == 7
     with pytest.raises(ValueError, match="threads must be at least 1"):
@@ -330,6 +331,27 @@ def test_worker_count_resolution(monkeypatch):
     monkeypatch.setenv("SPARSE_MINIMAX_THREADS", "many")
     with pytest.raises(ValueError, match="SPARSE_MINIMAX_THREADS must be an integer"):
         worker_count(7)
+
+
+@pytest.mark.parametrize(
+    "files, expected",
+    [
+        ({"/sys/fs/cgroup/cpu.max": "max 100000"}, 3),
+        ({"/sys/fs/cgroup/cpu.max": "150000 100000"}, 2),  # 1.5 CPUs round up
+        ({"/sys/fs/cgroup/cpu.max": "50000 100000"}, 1),
+        ({"/sys/fs/cgroup/cpu.max": "800000 100000"}, 3),  # the affinity is smaller
+        ({"/sys/fs/cgroup/cpu/cpu.cfs_quota_us": "-1", "/sys/fs/cgroup/cpu/cpu.cfs_period_us": "100000"}, 3),
+        ({"/sys/fs/cgroup/cpu/cpu.cfs_quota_us": "200000", "/sys/fs/cgroup/cpu/cpu.cfs_period_us": "100000"}, 2),
+        ({"/sys/fs/cgroup/cpu.max": "garbage"}, 3),
+        ({}, 3),
+    ],
+)
+def test_worker_count_honours_the_cgroup_cpu_quota(monkeypatch, files, expected):
+    monkeypatch.delenv("SPARSE_MINIMAX_THREADS", raising=False)
+    monkeypatch.setattr(risk_mod.os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    monkeypatch.setattr(risk_mod, "_read_cgroup_file", files.get)
+    assert worker_count() == expected
+    assert worker_count(7) == 7  # an explicit request is not capped
 
 
 def test_shared_replicate_loop_draws_each_design_once(monkeypatch):

@@ -2,15 +2,21 @@
 and the dual exact/brute route for the support-correlation statistic."""
 
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparse_minimax import tails
 from sparse_minimax.estimators import CapacityError
 from sparse_minimax.tails import (
     REGISTRY,
+    _chunked,
+    _median_ok,
+    _top_abs,
     binom_bound_check,
     check_tail_bound,
     sup_xtz_brute,
@@ -126,6 +132,74 @@ def test_report_json_shape():
     assert len(payload["rows"]) == 1
     row = payload["rows"][0]
     assert set(row) == {"params", "empirical", "bound", "slack", "margin", "passed"}
+
+
+# one small point per vector row; the widths decide the chunk sizes below
+SMALL_VECTOR_GRIDS = {
+    "chi2_lower": ({"d": 50, "tau": 0.5}, {"d": 200, "tau": 0.2}),
+    "gauss_max": ({"p": 100, "u": 0.0},),
+    "order_mean": ({"p": 100, "k": 5},),
+    "order_conc": ({"p": 100, "k": 10, "u": 1.0},),
+    "topk_avg": ({"p": 200, "s": 5, "t": 4.0},),
+    "median_event": ({"p": 200, "k": 5, "delta1": 0.5},),
+}
+
+
+def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
+    reps, budget = 1003, 3000
+    for grid in SMALL_VECTOR_GRIDS.values():
+        for point in grid:
+            step = budget // point.get("d", point.get("p"))
+            assert reps // step >= 10 and reps % step, point  # many chunks and a short last one
+    default = {row: check_tail_bound(row, grid=grid, reps=reps, seed=4) for row, grid in SMALL_VECTOR_GRIDS.items()}
+    monkeypatch.setattr(tails, "_CHUNK_BUDGET", budget)
+    for row, grid in SMALL_VECTOR_GRIDS.items():
+        assert check_tail_bound(row, grid=grid, reps=reps, seed=4).to_json() == default[row].to_json(), row
+
+
+def test_chunked_waits_for_each_statistic_before_refilling(monkeypatch):
+    # a slow statistic that reads its block late sees the next draw if its
+    # buffer is refilled too early
+    def slow_row_sums(block):
+        time.sleep(0.002)
+        return block.sum(axis=1)
+
+    monkeypatch.setattr(tails, "_CHUNK_BUDGET", 40)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _chunked(np.random.default_rng(11), 103, 8, slow_row_sums)
+    finally:
+        sys.setswitchinterval(interval)
+    want = np.random.default_rng(11).standard_normal((103, 8)).sum(axis=1)
+    assert np.array_equal(got, want)
+
+
+def test_median_shortcut_matches_the_sorted_route():
+    p, k, d1 = 1000, 10, 0.5
+    head_levels = 4.0 * np.sqrt(np.log(2.0 * p / np.arange(1, k + 1)))
+    tail_level = (1.0 + d1) * math.sqrt(2.0 * math.log(p / k))
+    levels = np.append(head_levels, tail_level)
+    gen = np.random.default_rng(5)
+    block = np.abs(gen.standard_normal((600, p))) * 0.3  # below every level
+    block[50:70, 0] = [tail_level, np.nextafter(tail_level, 0.0)] * 10  # largest value at the shortcut's edge
+    # between the tail level and every head level: k+1 such values fail, k pass
+    block[70:85, : k + 1] = np.nextafter(tail_level, np.inf)
+    block[85:100, :k] = np.nextafter(tail_level, np.inf)
+    for row in block[100:]:
+        # the top k+1 values sit just below, exactly at or just above their
+        # levels; half the rows move one of them just above
+        side = gen.integers(-1, 1, size=k + 1)
+        if gen.random() < 0.5:
+            side[gen.integers(k + 1)] = 1
+        planted = np.where(side == 0, levels, np.nextafter(levels, np.where(side < 0, 0.0, np.inf)))
+        row[gen.choice(p, size=k + 1, replace=False)] = planted
+    got = _median_ok(block.copy(), head_levels, tail_level)
+    top = _top_abs(block, k + 1)
+    want = (top[:, :k] <= head_levels).all(axis=1) & (top[:, k] <= tail_level)
+    assert np.array_equal(got, want)
+    assert want[:70].all() and not want[70:85].any() and want[85:100].all()
+    assert 150 < int((~want[100:]).sum()) < 350
 
 
 def test_support_correlation_routes_agree(rng):
