@@ -1,56 +1,35 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels: design products, column norms, Lasso coordinate
+sweeps and the decreasing isotonic fit behind the sorted-L1 prox.
 
-The numba backend compiles the loops below with @njit(nogil=True) so replicate
-threads overlap; the numpy backend is the same arithmetic expressed with array
-ops. Selection: SPARSE_MINIMAX_BACKEND = auto | numba | numpy (default auto:
-numba when importable). Results are deterministic within a backend; the two
-backends may differ in the last ulp because reduction orders differ.
+They stay separate named functions, looked up through this module at every
+call site, so that a profiler or a test can replace one name and see every
+call to that layer.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV = "SPARSE_MINIMAX_BACKEND"
-# empty string means unset, so VAR= works like not exporting it
-_choice = os.environ.get(_ENV, "").strip().lower() or "auto"
-if _choice not in {"auto", "numba", "numpy"}:
-    raise ValueError(f"{_ENV} must be auto, numba, or numpy; got {_choice!r}")
 
-_numba_ok = False
-if _choice in {"auto", "numba"}:
-    try:
-        from numba import njit
-
-        _numba_ok = True
-    except ImportError:
-        if _choice == "numba":
-            raise ImportError(f"{_ENV}=numba but numba is not installed")
-
-BACKEND = "numba" if _numba_ok else "numpy"
-
-
-def _xt_dot_py(x, v):
+def xt_dot(x, v):
     return x.T @ v
 
 
-def _x_dot_sparse_py(x, idx, vals):
+def x_dot_sparse(x, idx, vals):
     if idx.size == 0:
         return np.zeros(x.shape[0])
     return x[:, idx] @ vals
 
 
-def _x_dot_dense_py(x, b):
+def x_dot_dense(x, b):
     return x @ b
 
 
-def _col_sumsq_py(x):
+def col_sumsq(x):
     return np.einsum("ij,ij->j", x, x)
 
 
-def _cd_sweeps_py(x, r, w, active, lam_n, col_sq, delta_tol, max_sweeps):
+def cd_sweeps(x, r, w, active, lam_n, col_sq, delta_tol, max_sweeps):
     sweeps = 0
     while sweeps < max_sweeps:
         delta = 0.0
@@ -74,7 +53,7 @@ def _cd_sweeps_py(x, r, w, active, lam_n, col_sq, delta_tol, max_sweeps):
     return sweeps
 
 
-def _pava_decreasing_py(u):
+def pava_decreasing(u):
     sums = []
     counts = []
     for ui in u:
@@ -91,122 +70,3 @@ def _pava_decreasing_py(u):
         out[pos : pos + c] = s / c
         pos += c
     return out
-
-
-if BACKEND == "numba":
-
-    @njit(cache=True, nogil=True)
-    def _xt_dot_nb(x, v):  # pragma: no cover - exercised via dispatch
-        n, p = x.shape
-        out = np.empty(p)
-        for j in range(p):
-            s = 0.0
-            for i in range(n):
-                s += x[i, j] * v[i]
-            out[j] = s
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _x_dot_sparse_nb(x, idx, vals):  # pragma: no cover
-        n = x.shape[0]
-        out = np.zeros(n)
-        for t in range(idx.size):
-            j = idx[t]
-            v = vals[t]
-            for i in range(n):
-                out[i] += v * x[i, j]
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _x_dot_dense_nb(x, b):  # pragma: no cover
-        n, p = x.shape
-        out = np.zeros(n)
-        for j in range(p):
-            bj = b[j]
-            if bj != 0.0:
-                for i in range(n):
-                    out[i] += bj * x[i, j]
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _col_sumsq_nb(x):  # pragma: no cover
-        n, p = x.shape
-        out = np.empty(p)
-        for j in range(p):
-            s = 0.0
-            for i in range(n):
-                s += x[i, j] * x[i, j]
-            out[j] = s
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _cd_sweeps_nb(x, r, w, active, lam_n, col_sq, delta_tol, max_sweeps):  # pragma: no cover
-        n = x.shape[0]
-        sweeps = 0
-        while sweeps < max_sweeps:
-            delta = 0.0
-            for t in range(active.size):
-                j = active[t]
-                cj = col_sq[j]
-                if cj <= 0.0:
-                    continue
-                wj = w[j]
-                s = 0.0
-                for i in range(n):
-                    s += x[i, j] * r[i]
-                u = s + cj * wj
-                au = abs(u) - lam_n
-                if au <= 0.0:
-                    nw = 0.0
-                elif u > 0.0:
-                    nw = au / cj
-                else:
-                    nw = -au / cj
-                d = nw - wj
-                if d != 0.0:
-                    for i in range(n):
-                        r[i] -= d * x[i, j]
-                    w[j] = nw
-                    if abs(d) > delta:
-                        delta = abs(d)
-            sweeps += 1
-            if delta <= delta_tol:
-                break
-        return sweeps
-
-    @njit(cache=True, nogil=True)
-    def _pava_decreasing_nb(u):  # pragma: no cover
-        p = u.size
-        sums = np.empty(p)
-        counts = np.empty(p, np.int64)
-        top = -1
-        for i in range(p):
-            top += 1
-            sums[top] = u[i]
-            counts[top] = 1
-            while top > 0 and sums[top] * counts[top - 1] >= sums[top - 1] * counts[top]:
-                sums[top - 1] += sums[top]
-                counts[top - 1] += counts[top]
-                top -= 1
-        out = np.empty(p)
-        pos = 0
-        for b in range(top + 1):
-            m = sums[b] / counts[b]
-            for _ in range(counts[b]):
-                out[pos] = m
-                pos += 1
-        return out
-
-    xt_dot = _xt_dot_nb
-    x_dot_sparse = _x_dot_sparse_nb
-    x_dot_dense = _x_dot_dense_nb
-    col_sumsq = _col_sumsq_nb
-    cd_sweeps = _cd_sweeps_nb
-    pava_decreasing = _pava_decreasing_nb
-else:
-    xt_dot = _xt_dot_py
-    x_dot_sparse = _x_dot_sparse_py
-    x_dot_dense = _x_dot_dense_py
-    col_sumsq = _col_sumsq_py
-    cd_sweeps = _cd_sweeps_py
-    pava_decreasing = _pava_decreasing_py

@@ -21,7 +21,6 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from ._kernels import BACKEND
 from .config import (
     experiment_config_from_mapping,
     experiment_config_to_mapping,
@@ -100,7 +99,6 @@ def _write_run(out: str, subcommand: str, config, files: dict[str, bytes], start
         "config": config,
         "master_seed": master_seed,
         "version": __version__,
-        "backend": BACKEND,
         "started_at": started,
         "finished_at": _utc_now(),
         "outputs": {name: {"sha256": _sha256(data), "bytes": len(data)} for name, data in files.items()},
@@ -581,14 +579,6 @@ def _cmd_replay(args) -> int:
     if manifest.get("version") != __version__:
         print(
             f"warning: manifest version {manifest.get('version')} != {__version__}; comparing anyway",
-            file=sys.stderr,
-        )
-    # bytes are reproducible per backend, not across backends
-    recorded = manifest.get("backend")
-    if recorded is not None and recorded != BACKEND:
-        print(
-            f"warning: run used backend {recorded!r} but this session uses {BACKEND!r}; "
-            "low-order float bits may differ",
             file=sys.stderr,
         )
 

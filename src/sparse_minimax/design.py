@@ -26,9 +26,6 @@ class GaussianDesign:
     entries: np.ndarray
     seed: SeedSpec | None = None
 
-    def column_norms(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.entries**2, axis=0))
-
 
 @dataclass(frozen=True)
 class NoiseVector:

@@ -168,6 +168,8 @@ class RiskReport:
     ``errors`` has shape (n_amplitudes, reps) and keeps every replicate;
     ``flags`` marks fits that failed to converge, which are excluded from
     the means. ``stderrs`` are sample std / sqrt(reps used).
+    ``minimax_ratio`` is the largest mean over ``denominator``, the level
+    2 sigma^2 k log(p/k) / n (sigma taken from noise_scale when 0).
     """
 
     amplitudes: tuple[float, ...]
@@ -414,13 +416,6 @@ def empirical_risks(config: ExperimentConfig, estimator_ids, threads: int | None
 def empirical_risk(config: ExperimentConfig, threads: int | None = None) -> RiskReport:
     """:func:`empirical_risks` for the one estimator ``config.estimator_id``."""
     return empirical_risks(config, (config.estimator_id,), threads)[config.estimator_id]
-
-
-def minimax_ratio(report: RiskReport, config: ExperimentConfig) -> float:
-    """Worst amplitude-grid mean over the target level
-    2 sigma^2 k log(p/k) / n (sigma taken from noise_scale when 0)."""
-    denom = minimax_denominator(config.n, config.p, config.k, config.sigma_eff)
-    return float(max(report.means)) / denom
 
 
 def slope_highprob_check(config: ExperimentConfig, q: float | None = None) -> float:

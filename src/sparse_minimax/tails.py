@@ -11,6 +11,7 @@ row says so.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -460,6 +461,26 @@ REGISTRY: dict[str, LemmaSpec] = {
 }
 
 
+def _check_point(lemma_id: str, template: dict, point: dict) -> None:
+    """Require ``point`` to have the keys of ``template``, a row's first
+    default point: integers >= 1 where it has integers, finite numbers
+    where it has floats."""
+    missing = sorted(set(template) - set(point))
+    unknown = sorted(set(point) - set(template))
+    if missing or unknown:
+        raise ValueError(
+            f"{lemma_id}: grid point {point} must have exactly the fields {sorted(template)}"
+            f" (missing {missing}, unknown {unknown})"
+        )
+    for key, example in template.items():
+        value = point[key]
+        if isinstance(example, int):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{lemma_id}: grid field {key} must be an integer >= 1, got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise ValueError(f"{lemma_id}: grid field {key} must be a finite number, got {value!r}")
+
+
 def check_tail_bound(lemma_id: str, grid=None, reps: int = 10_000, seed: int = 0) -> TailReport:
     """Run one registry row over its parameter grid.
 
@@ -467,7 +488,8 @@ def check_tail_bound(lemma_id: str, grid=None, reps: int = 10_000, seed: int = 0
     for lower bounds); means pass when mean + 3 stderr <= bound. Slack is
     three binomial standard errors plus any sampler-reported term. Each
     grid cell draws from its own counter slot, so cells are independent
-    and individually reproducible.
+    and individually reproducible. Every grid point is checked against the
+    row's default points before any cell runs; a bad one raises ValueError.
     """
     if lemma_id not in REGISTRY:
         raise ValueError(f"unknown lemma_id {lemma_id!r}; registered: {sorted(REGISTRY)}")
@@ -475,6 +497,8 @@ def check_tail_bound(lemma_id: str, grid=None, reps: int = 10_000, seed: int = 0
         raise ValueError(f"reps must be at least 100, got {reps}")
     row_spec = REGISTRY[lemma_id]
     points = row_spec.default_grid if grid is None else tuple(dict(pt) for pt in grid)
+    for point in points:
+        _check_point(lemma_id, row_spec.default_grid[0], point)
     spec = SeedSpec(seed)
 
     rows = []

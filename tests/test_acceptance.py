@@ -28,8 +28,7 @@ from sparse_minimax.estimators import (
 from sparse_minimax.events import b_delta_check, oracle_lasso_gap_check
 from sparse_minimax.risk import (
     ExperimentConfig,
-    empirical_risk,
-    minimax_ratio,
+    empirical_risks,
     mle_moment_estimate,
     predicted_ratio,
     slope_highprob_check,
@@ -65,15 +64,12 @@ def announce(capfd):
 
 @pytest.fixture(scope="module")
 def desk_reports():
-    """Oracle and Lasso risk at the desk size, same seeds, timed once."""
-    cfg_o = ExperimentConfig(estimator_id="oracle", **DESK)
-    cfg_l = ExperimentConfig(estimator_id="lasso", **DESK)
+    """Oracle and Lasso risk at the desk size from one pass that fits both on
+    each replicate's design, and the wall time of that pass."""
+    cfg = ExperimentConfig(estimator_id="oracle", **DESK)
     t0 = time.monotonic()
-    rep_o = empirical_risk(cfg_o)
-    t1 = time.monotonic()
-    rep_l = empirical_risk(cfg_l)
-    t2 = time.monotonic()
-    return cfg_o, rep_o, t1 - t0, cfg_l, rep_l, t2 - t1
+    reports = empirical_risks(cfg, ("oracle", "lasso"))
+    return cfg, reports["oracle"], reports["lasso"], time.monotonic() - t0
 
 
 def _quad_st_risk(mu: float, tau: float) -> float:
@@ -108,9 +104,9 @@ def test_st_risk_matches_quadrature(announce):
 
 
 def test_oracle_hits_predicted_constant(desk_reports, announce):
-    cfg_o, rep_o, elapsed, *_ = desk_reports
-    ratio = minimax_ratio(rep_o, cfg_o)
-    target = predicted_ratio(cfg_o.n, cfg_o.p, cfg_o.k, cfg_o.eps)
+    cfg, rep_o, _, elapsed = desk_reports
+    ratio = rep_o.minimax_ratio
+    target = predicted_ratio(cfg.n, cfg.p, cfg.k, cfg.eps)
     ok = abs(ratio - target) <= 0.10 and elapsed <= 600.0
     announce(
         "oracle-constant",
@@ -122,9 +118,9 @@ def test_oracle_hits_predicted_constant(desk_reports, announce):
 
 
 def test_lasso_tracks_oracle(desk_reports, announce):
-    cfg_o, rep_o, _, cfg_l, rep_l, elapsed = desk_reports
-    ratio_o = minimax_ratio(rep_o, cfg_o)
-    ratio_l = minimax_ratio(rep_l, cfg_l)
+    _, rep_o, rep_l, elapsed = desk_reports
+    ratio_o = rep_o.minimax_ratio
+    ratio_l = rep_l.minimax_ratio
     gap = abs(ratio_l - ratio_o)
     ok = gap <= 0.15 and elapsed <= 1800.0
     announce(

@@ -1,6 +1,7 @@
 """End-to-end command behavior through run(): exit codes, file outputs,
 manifest integrity, and byte-exact replay."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -8,6 +9,7 @@ import pytest
 
 from sparse_minimax.cli import _parse_grid_text, run
 from sparse_minimax.risk import worker_count
+from sparse_minimax.tails import REGISTRY
 
 RISK_CFG = """
 n = 30
@@ -56,14 +58,11 @@ def test_simulate_risk_writes_run_directory(tmp_path, risk_config, capsys):
 
 
 def test_manifest_hashes_match_files(tmp_path, risk_config):
-    from sparse_minimax._kernels import BACKEND
-
     _, out = _run_simulate(tmp_path, risk_config)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["format"] == "sparse-minimax-manifest-v1"
     assert manifest["subcommand"] == "simulate-risk"
     assert manifest["master_seed"] == 11
-    assert manifest["backend"] == BACKEND
     for name, meta in manifest["outputs"].items():
         data = (out / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == meta["sha256"]
@@ -140,15 +139,16 @@ def test_replay_warns_on_version_drift(tmp_path, risk_config, capsys):
     assert "comparing anyway" in capsys.readouterr().err
 
 
-def test_replay_warns_on_backend_drift(tmp_path, risk_config, capsys):
+def test_replay_accepts_an_old_backend_key(tmp_path, risk_config, capsys):
+    # manifests written before the single numeric backend carry this key
     _, out = _run_simulate(tmp_path, risk_config)
     path = out / "manifest.json"
     manifest = json.loads(path.read_text())
-    manifest["backend"] = "somewhere-else"
+    manifest["backend"] = "numba"
     path.write_text(json.dumps(manifest))
-    # only the label was forged; bytes were made under the live backend
+    capsys.readouterr()
     assert run(["replay", str(path)]) == 0
-    assert "low-order float bits may differ" in capsys.readouterr().err
+    assert capsys.readouterr().err == ""
 
 
 def test_sweep_shares_seeds_across_estimators(tmp_path, risk_config, capsys):
@@ -204,6 +204,28 @@ def test_check_lemma_grid_file(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "p=50" in text and "p=200" in text
     assert "2/2 grid points" in text
+
+
+@pytest.mark.parametrize(
+    "line, field",
+    [
+        ("p = 100", "u"),
+        ("p = 100.5, u = 0.5", "p"),
+        ("p = 100, u = nan", "u"),
+        ("p = 100, u = 0.5, q = 2", "q"),
+        ("p = 0, u = 0.5", "p"),
+    ],
+)
+def test_check_lemma_rejects_bad_grid_points(tmp_path, capsys, monkeypatch, line, field):
+    def no_draws(*args):
+        raise AssertionError("a cell was simulated before the grid was checked")
+
+    monkeypatch.setitem(REGISTRY, "gauss_max", dataclasses.replace(REGISTRY["gauss_max"], simulate=no_draws))
+    grid = tmp_path / "grid.txt"
+    grid.write_text(f"p = 50, u = 0.5\n{line}\n")
+    assert run(["check-lemma", "--lemma", "gauss_max", "--reps", "300", "--grid", str(grid)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: gauss_max: ") and field in err
 
 
 def test_check_lemma_proof_driver(tmp_path, capsys):
@@ -271,6 +293,21 @@ def test_console_script_is_installed():
     proc = subprocess.run(["sparse-minimax", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "simulate-risk" in proc.stdout
+
+
+def test_pyproject_takes_its_version_from_the_package():
+    import pathlib
+    import warnings
+
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    from sparse_minimax import __version__
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert read_configuration(path, expand=False)["project"]["dynamic"] == ["version"]
+        assert read_configuration(path)["project"]["version"] == __version__
 
 
 def test_threads_env_wins_over_flag(tmp_path, risk_config, monkeypatch):

@@ -1,9 +1,5 @@
-"""Backend parity: the compiled kernels must agree with the plain-numpy
-forms, and the isotonic solver must agree with scipy's."""
-
-import os
-import subprocess
-import sys
+"""The numeric kernels against plain BLAS products, the scalar Lasso update,
+and scipy's isotonic regression."""
 
 import numpy as np
 import pytest
@@ -16,10 +12,6 @@ from sparse_minimax import _kernels as k
 
 def _design(rng, n=40, p=17):
     return np.asfortranarray(rng.standard_normal((n, p)))
-
-
-def test_backend_is_declared():
-    assert k.BACKEND in ("numba", "numpy")
 
 
 def test_xt_dot_matches_blas(rng):
@@ -118,49 +110,3 @@ def test_pava_already_decreasing_is_identity():
 def test_pava_single_block_average():
     v = np.array([1.0, 2.0, 3.0])
     assert np.allclose(np.asarray(k.pava_decreasing(v)), [2.0, 2.0, 2.0])
-
-
-def _backend_of(env_value):
-    env = dict(os.environ)
-    env["SPARSE_MINIMAX_BACKEND"] = env_value
-    out = subprocess.run(
-        [sys.executable, "-c", "from sparse_minimax import _kernels; print(_kernels.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    return out
-
-
-def test_env_flag_forces_numpy():
-    out = _backend_of("numpy")
-    assert out.returncode == 0
-    assert out.stdout.strip() == "numpy"
-
-
-def test_env_flag_rejects_unknown_value():
-    out = _backend_of("cuda")
-    assert out.returncode != 0
-    assert "SPARSE_MINIMAX_BACKEND" in out.stderr
-
-
-def test_env_flag_empty_means_auto():
-    out = _backend_of("")
-    assert out.returncode == 0
-    assert out.stdout.strip() == k.BACKEND
-
-
-@pytest.mark.skipif(k.BACKEND != "numba", reason="compiled backend unavailable")
-def test_backends_agree_on_lasso_path(rng):
-    # same fit through both dispatch tables; last-ulp drift only
-    x = _design(rng, n=60, p=25)
-    y = rng.standard_normal(60)
-    col_sq = (x**2).sum(axis=0)
-    active = np.arange(25, dtype=np.int64)
-    r1, w1 = y.copy(), np.zeros(25)
-    r2, w2 = y.copy(), np.zeros(25)
-    k.cd_sweeps(x, r1, w1, active, 0.08 * 60, col_sq, 1e-13, 1000)
-    k._cd_sweeps_py(x, r2, w2, active, 0.08 * 60, col_sq, 1e-13, 1000)
-    assert np.allclose(w1, w2, rtol=1e-9, atol=1e-12)
-    v = rng.standard_normal(25)
-    assert np.allclose(np.asarray(k.pava_decreasing(v)), k._pava_decreasing_py(v), rtol=1e-12, atol=1e-12)

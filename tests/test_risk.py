@@ -16,7 +16,6 @@ from sparse_minimax.risk import (
     empirical_risk,
     empirical_risks,
     minimax_denominator,
-    minimax_ratio,
     mle_moment_estimate,
     oracle_risk_prediction,
     predicted_ratio,
@@ -166,12 +165,6 @@ def test_report_is_thread_count_invariant():
     a = empirical_risk(cfg, threads=1)
     b = empirical_risk(cfg, threads=4)
     assert a.to_json() == b.to_json()
-
-
-def test_ratio_helper_matches_report():
-    cfg = _oracle_config(reps=2)
-    report = empirical_risk(cfg, threads=1)
-    assert minimax_ratio(report, cfg) == report.minimax_ratio
 
 
 def test_replicates_and_amplitudes_fill_error_matrix():
