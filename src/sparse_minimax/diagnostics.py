@@ -78,7 +78,7 @@ def max_column_norm(X) -> float:
         raise ValueError(f"design must be 2-D, got shape {X.shape}")
     if X.shape[1] == 0:
         return 0.0
-    return math.sqrt(float(np.asarray(_k.col_sumsq(np.asfortranarray(X))).max()))
+    return math.sqrt(float(_k.col_sumsq(np.asfortranarray(X)).max()))
 
 
 def delta_consts(eps: float) -> tuple[float, float]:
@@ -231,11 +231,11 @@ def sre_theta_estimate(X, k: int, c0: float, restarts: int = 64, seed: int | See
     else:
 
         def matvec(v: np.ndarray) -> np.ndarray:
-            return np.asarray(_k.xt_dot(X, np.asarray(_k.x_dot_dense(X, v)))) / n
+            return _k.xt_dot(X, _k.x_dot_dense(X, v)) / n
 
         iters = 60
 
-    col_sq = np.asarray(_k.col_sumsq(X))
+    col_sq = _k.col_sumsq(X)
 
     def start_vector(slot: int) -> np.ndarray:
         if slot == 0:

@@ -114,7 +114,7 @@ def resolvent_set(X, z, S, k_star: int) -> np.ndarray:
     if k_star >= p:
         raise ValueError(f"k_star must be smaller than p={p}, got {k_star}")
 
-    score = np.abs(np.asarray(_k.xt_dot(X, z)))
+    score = np.abs(_k.xt_dot(X, z))
     ranked = np.lexsort((np.arange(p), -score))
     outside = ranked[~np.isin(ranked, base)]
     extra = outside[: k_star - base.size]
@@ -197,7 +197,7 @@ def g_func(u, X, sigma: float, delta0: float, delta2: float, delta3: float) -> f
     n, p = X.shape
     if u.shape != (p,):
         raise ValueError(f"u has shape {u.shape}, expected ({p},)")
-    xu = np.asarray(_k.x_dot_dense(X, u))
+    xu = _k.x_dot_dense(X, u)
     return (
         sigma
         * (1.0 + delta2)
@@ -221,7 +221,7 @@ def stochastic_u_samples(X, z, k: int, m: int, seed: int | SeedSpec = 0) -> np.n
     if not 1 <= k <= p:
         raise ValueError(f"need 1 <= k <= p, got k={k}, p={p}")
     spec = seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
-    g = np.asarray(_k.xt_dot(X, z))
+    g = _k.xt_dot(X, z)
     rank = np.lexsort((np.arange(p), -np.abs(g)))
 
     out = np.empty((m, p))
@@ -267,10 +267,10 @@ def stochastic_error_event_check(
     if samples.shape[1] != p:
         raise ValueError(f"u_samples must have {p} columns, got {samples.shape[1]}")
 
-    col_norm = math.sqrt(float(np.asarray(_k.col_sumsq(X)).max()))
+    col_norm = math.sqrt(float(_k.col_sumsq(X).max()))
     applicable = col_norm <= (1.0 + params.delta0) * math.sqrt(n)
 
-    zx = np.asarray(_k.xt_dot(X, z))
+    zx = _k.xt_dot(X, z)
     held = 0
     for u in samples:
         lhs = float(zx @ u) / n

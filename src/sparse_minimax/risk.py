@@ -38,7 +38,8 @@ _THREADS_ENV = "SPARSE_MINIMAX_THREADS"
 
 
 def _read_cgroup_file(path: str) -> str | None:
-    """Stripped contents of a cgroup control file, or None if unreadable."""
+    """Stripped contents of a cgroup control file (or of /proc/meminfo),
+    or None if unreadable."""
     try:
         with open(path, encoding="ascii") as fh:
             return fh.read().strip()
@@ -64,10 +65,34 @@ def _cgroup_cpu_limit() -> int | None:
     return -(-quota_us // period_us)
 
 
-def worker_count(requested: int | None = None) -> int:
+def _memory_budget() -> int | None:
+    """Bytes this process may use: the smaller of the cgroup memory limit
+    (v2's memory.max, else v1's limit_in_bytes) and MemAvailable from
+    /proc/meminfo; None when neither is readable."""
+    limits = []
+    raw = _read_cgroup_file("/sys/fs/cgroup/memory.max") or _read_cgroup_file(
+        "/sys/fs/cgroup/memory/memory.limit_in_bytes"
+    )
+    try:
+        limits.append(int(raw))
+    except (TypeError, ValueError):  # no cgroup files at all, or "max"
+        pass
+    for line in (_read_cgroup_file("/proc/meminfo") or "").splitlines():
+        key, _, value = line.partition(":")
+        if key == "MemAvailable":
+            try:
+                limits.append(int(value.split()[0]) * 1024)  # reported in kB
+            except (IndexError, ValueError):
+                pass
+    return min(limits) if limits else None
+
+
+def worker_count(requested: int | None = None, worker_bytes: int | None = None) -> int:
     """Thread count for replicate loops: SPARSE_MINIMAX_THREADS if set,
     otherwise ``requested``, otherwise the number of CPUs this process may
-    run on, capped by the cgroup CPU quota. Results never depend on this."""
+    run on, capped by the cgroup CPU quota and, when each worker holds
+    ``worker_bytes`` (e.g. its own design), by how many such workers fit in
+    the memory budget (at least one). Results never depend on this."""
     raw = os.environ.get(_THREADS_ENV)
     if raw is not None:
         try:
@@ -86,7 +111,12 @@ def worker_count(requested: int | None = None) -> int:
     else:
         count = os.cpu_count() or 1
     limit = _cgroup_cpu_limit()
-    return count if limit is None else min(count, limit)
+    if limit is not None:
+        count = min(count, limit)
+    budget = _memory_budget() if worker_bytes else None
+    if budget is not None:
+        count = min(count, max(1, budget // worker_bytes))
+    return count
 
 
 @dataclass(frozen=True)
@@ -294,7 +324,7 @@ def _replicate_errors(config: ExperimentConfig, ids, rep: int, lam: float, seq, 
     design = gen_design(config.n, config.p, spec)
     X = design.entries
     iterative = "lasso" in ids or "slope" in ids  # the fits that use col_sq and X'y
-    col_sq = np.asarray(_k.col_sumsq(X)) if iterative else None
+    col_sq = _k.col_sumsq(X) if iterative else None
     lip = _spectral_bound(X, col_sq) if "slope" in ids else None
     xtz = None
 
@@ -305,11 +335,11 @@ def _replicate_errors(config: ExperimentConfig, ids, rep: int, lam: float, seq, 
         signal = make_signal(config.p, config.k, amp, config.support_rule, spec)
         inst = synthesize(design, signal, config.sigma, spec)
         beta = signal.dense()
-        xty = np.asarray(_k.xt_dot(X, inst.response)) if iterative else None
+        xty = _k.xt_dot(X, inst.response) if iterative else None
         for e, est in enumerate(ids):
             if est == "oracle":
                 if xtz is None:
-                    xtz = np.asarray(_k.xt_dot(X, inst.noise.z))
+                    xtz = _k.xt_dot(X, inst.noise.z)
                 beta_hat = oracle_estimator(beta, X, inst.noise.z, lam, xtz=xtz)
             elif est == "lasso":
                 res = lasso_fit(X, inst.response, LassoConfig(lam=lam), b0=warm[e], col_sq=col_sq, xty=xty)
@@ -382,7 +412,7 @@ def empirical_risks(config: ExperimentConfig, estimator_ids, threads: int | None
     for est in ids:
         if est not in ESTIMATOR_IDS:
             raise ValueError(f"estimator ids must be among {ESTIMATOR_IDS}, got {est!r}")
-    threads = worker_count(threads)
+    threads = worker_count(threads, worker_bytes=8 * config.n * config.p)  # a float64 design each
     needs_lam = any(est in ("lasso", "oracle", "aggregated") for est in ids)
     lam = lambda_eps(config.eps, config.sigma_eff, config.n, config.p, config.k) if needs_lam else 0.0
     seq = (

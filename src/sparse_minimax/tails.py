@@ -489,7 +489,8 @@ def check_tail_bound(lemma_id: str, grid=None, reps: int = 10_000, seed: int = 0
     three binomial standard errors plus any sampler-reported term. Each
     grid cell draws from its own counter slot, so cells are independent
     and individually reproducible. Every grid point is checked against the
-    row's default points before any cell runs; a bad one raises ValueError.
+    row's default points before any cell runs; a bad one, or an empty grid,
+    raises ValueError.
     """
     if lemma_id not in REGISTRY:
         raise ValueError(f"unknown lemma_id {lemma_id!r}; registered: {sorted(REGISTRY)}")
@@ -497,6 +498,8 @@ def check_tail_bound(lemma_id: str, grid=None, reps: int = 10_000, seed: int = 0
         raise ValueError(f"reps must be at least 100, got {reps}")
     row_spec = REGISTRY[lemma_id]
     points = row_spec.default_grid if grid is None else tuple(dict(pt) for pt in grid)
+    if not points:
+        raise ValueError(f"{lemma_id}: grid must hold at least one point")
     for point in points:
         _check_point(lemma_id, row_spec.default_grid[0], point)
     spec = SeedSpec(seed)

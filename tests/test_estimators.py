@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression
 
+import sparse_minimax.estimators as estimators_mod
 from sparse_minimax.design import GaussianDesign, Instance, NoiseVector, gen_design, make_signal, synthesize
 from sparse_minimax import _kernels
 from sparse_minimax.estimators import (
@@ -219,6 +220,136 @@ def test_prox_validation():
         prox_sorted_l1(np.ones(3), np.array([0.5, 0.2, -0.1]))
     with pytest.raises(ValueError):
         prox_sorted_l1(np.ones(3), np.ones(4))
+
+
+def _prox_full_pava(v, lam):
+    # the route before prefix PAVA: the isotonic fit of all p entries
+    a = np.abs(v)
+    order = np.argsort(-a, kind="stable")
+    w = _kernels.pava_decreasing(a[order] - lam)
+    np.maximum(w, 0.0, out=w)
+    out = np.empty_like(v)
+    out[order] = w
+    out *= np.sign(v)
+    return out
+
+
+def _prox_cases(rng):
+    for _ in range(300):
+        p = int(rng.integers(1, 60))
+        v = rng.standard_normal(p) * 2
+        lam = np.sort(rng.uniform(0, 2, p))[::-1]
+        yield "random", v, lam
+        pool = rng.standard_normal(max(1, p // 3)) * 2  # tied magnitudes and tied weights
+        v_tied = rng.choice(pool, p) * rng.choice([-1.0, 1.0], p)
+        yield "ties", v_tied, np.sort(rng.choice(rng.uniform(0, 2, max(1, p // 4)), p))[::-1]
+        yield "flat", v_tied, np.full(p, float(rng.uniform(0, 2)))
+        # exact ties of partial sums: every value a multiple of 1/4
+        yield "grid", rng.integers(-12, 13, p) / 4.0, np.sort(rng.integers(0, 9, p) / 4.0)[::-1]
+        yield "K=0", v, np.abs(v).max() + np.sort(rng.uniform(0, 1, p))[::-1]
+        yield "K=p", np.sign(v) * (5.0 + rng.uniform(0, 1, p)), np.sort(rng.uniform(0, 2, p))[::-1]
+        yield "zero weights", v, np.zeros(p)
+
+
+def test_prefix_pava_matches_the_full_route_bit_for_bit(rng, monkeypatch):
+    lengths = []
+    real = _kernels.pava_decreasing
+
+    def recording(u):
+        lengths.append(u.size)
+        return real(u)
+
+    monkeypatch.setattr(_kernels, "pava_decreasing", recording)
+    seen = set()
+    for name, v, lam in _prox_cases(rng):
+        expect = _prox_full_pava(v, lam)
+        lengths.clear()
+        got = prox_sorted_l1(v, lam)
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), (name, v, lam)
+        # PAVA ran on the K entries up to the first maximum of [0, cumsum(u)]
+        u = np.sort(np.abs(v))[::-1] - lam
+        K = int(np.argmax(np.concatenate(([0.0], np.cumsum(u)))))
+        assert lengths == ([K] if K else []), name
+        assert np.count_nonzero(got) <= K
+        seen.add((name, K == 0, K == v.size))
+    assert ("K=0", True, False) in seen and ("K=p", False, True) in seen
+    assert {name for name, *_ in seen} == {"random", "ties", "flat", "grid", "K=0", "K=p", "zero weights"}
+
+
+def test_prefix_pava_zeroes_rounding_residue_past_the_prefix(rng):
+    # On a decimal grid, partial sums that tie exactly on paper differ in
+    # the last bit, and the full route can leave +-1e-17 past the prefix
+    # where the exact prox is 0. The prefix route writes 0 there and agrees
+    # bit for bit everywhere else.
+    moved = 0
+    for _ in range(2000):
+        p = int(rng.integers(1, 60))
+        v = np.round(rng.standard_normal(p) * 2, 1)
+        lam = np.round(np.sort(rng.uniform(0, 2, p))[::-1], 1)
+        got, expect = prox_sorted_l1(v, lam), _prox_full_pava(v, lam)
+        differ = got.view(np.uint64) != expect.view(np.uint64)
+        assert not np.any(got[differ])
+        assert np.abs(expect[differ]).max(initial=0.0) <= 1e-15
+        moved += bool(differ.any())
+    assert moved  # the probe reaches the case it describes
+
+
+def _uncapped_slope(X, y, seq, tol):
+    # slope_fit's outer loop as it was before capped growth: every nonzero
+    # of the full-design prox step joins the working set at once
+    n, p = X.shape
+    t = 1.0 / _spectral_bound(X)
+    b, r, work, tol_inner = np.zeros(p), y.copy(), np.zeros(0, dtype=np.intp), 0.3 * tol
+    while True:
+        pb = prox_sorted_l1(b + t * (X.T @ r) / n, t * seq)
+        if np.abs(b - pb).max() / t <= tol:
+            return b
+        grown = np.union1d(work, np.flatnonzero(pb))
+        if np.array_equal(grown, work):
+            tol_inner *= 0.1
+        work = grown
+        bw, r, _, t = estimators_mod._fista_on_slab(
+            X[:, work], y, seq[: work.size], b[work], t, tol_inner, 20_000, n
+        )
+        b = np.zeros(p)
+        b[work] = bw
+
+
+def test_slope_working_set_grows_from_the_largest_violators(monkeypatch):
+    n, p = 150, 1200
+    X = gen_design(n, p, SeedSpec(31)).entries
+    beta = np.zeros(p)
+    beta[:6] = 4.0
+    y = X @ beta + np.random.default_rng(2).standard_normal(n)
+    seq = 0.8 * slope_lambda_seq(0.1, 1.0, n, p, 0.5)
+    tol = 1e-10
+    t = 1.0 / _spectral_bound(X)
+    first = prox_sorted_l1(t * (X.T @ y) / n, t * seq)
+    assert np.count_nonzero(first) > 100
+
+    sizes, first_rows = [], []
+    real = estimators_mod._fista_on_slab
+
+    def recording(Xw, y, lam_w, b_init, *rest):
+        sizes.append(b_init.size)
+        first_rows.append(Xw[0].copy())
+        return real(Xw, y, lam_w, b_init, *rest)
+
+    monkeypatch.setattr(estimators_mod, "_fista_on_slab", recording)
+    res = slope_fit(X, y, SlopeConfig(lambda_seq=seq, tol=tol))
+    monkeypatch.setattr(estimators_mod, "_fista_on_slab", real)
+    assert sizes and sizes[0] <= 10
+    # the first slab holds the ten largest entries of the first prox step
+    # (a design row's entries are distinct, so they name the columns)
+    largest = np.argsort(-np.abs(first), kind="stable")[:10]
+    assert np.array_equal(np.flatnonzero(np.isin(X[0], first_rows[0])), np.sort(largest))
+    for before, after in zip([0] + sizes, sizes):
+        assert before <= after <= before + max(before, 10)
+    assert res.converged and res.kkt_residual <= tol
+    g = X.T @ (y - X @ res.beta_hat) / n
+    assert np.abs(res.beta_hat - prox_sorted_l1(res.beta_hat + t * g, t * seq)).max() / t <= tol
+    assert sizes[-1] < np.count_nonzero(first)
+    assert np.allclose(res.beta_hat, _uncapped_slope(X, y, seq, tol), rtol=0, atol=1e-8)
 
 
 def test_slope_lambda_seq_form():
@@ -464,16 +595,16 @@ def test_precomputed_design_quantities_change_no_bit(rng):
     beta = np.zeros(12)
     beta[:2] = 1.5
     y = X @ beta + z
-    col_sq = np.asarray(_kernels.col_sumsq(X))
+    col_sq = _kernels.col_sumsq(X)
     cold = lasso_fit(X, y, LassoConfig(lam=0.2))
     cached = lasso_fit(X, y, LassoConfig(lam=0.2), col_sq=col_sq)
     assert np.array_equal(cached.beta_hat, cold.beta_hat)
     assert cached.kkt_residual == cold.kkt_residual
-    xtz = np.asarray(_kernels.xt_dot(X, z))
+    xtz = _kernels.xt_dot(X, z)
     assert np.array_equal(oracle_estimator(beta, X, z, 0.2, xtz=xtz), oracle_estimator(beta, X, z, 0.2))
     # X'y: the cold Lasso's first gradient, and the tol rule of the warm
     # Lasso and of SLOPE (cold and warm)
-    xty = np.asarray(_kernels.xt_dot(X, y))
+    xty = _kernels.xt_dot(X, y)
     warm_start = 0.5 * cold.beta_hat
     warm = lasso_fit(X, y, LassoConfig(lam=0.2), b0=warm_start)
     seq = slope_lambda_seq(0.1, 1.0, 40, 12, 0.5)
@@ -503,7 +634,7 @@ def test_gaussian_edge_tracks_the_spectral_norm():
     exact = float(np.linalg.svd(X, compute_uv=False)[0] ** 2) / 400
     assert _spectral_bound(X) == pytest.approx(exact, rel=0.10)
     # the same estimate from column norms the caller already has
-    col_sq = np.asarray(_kernels.col_sumsq(X))
+    col_sq = _kernels.col_sumsq(X)
     assert _spectral_bound(X, col_sq) == _spectral_bound(X)
 
 
@@ -512,7 +643,7 @@ def test_slope_on_unit_norm_columns_past_the_svd_cutoff():
     # for raw N(0,1) entries; the start step must scale with them
     n, p = 300, 1000
     X = gen_design(n, p, SeedSpec(23)).entries
-    X = np.asfortranarray(X / np.sqrt(np.asarray(_kernels.col_sumsq(X))))
+    X = np.asfortranarray(X / np.sqrt(_kernels.col_sumsq(X)))
     beta = np.zeros(p)
     beta[:4] = 3.0
     y = X @ beta + 0.05 * np.random.default_rng(5).standard_normal(n)

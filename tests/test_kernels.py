@@ -17,31 +17,31 @@ def _design(rng, n=40, p=17):
 def test_xt_dot_matches_blas(rng):
     x = _design(rng)
     v = rng.standard_normal(40)
-    assert np.allclose(np.asarray(k.xt_dot(x, v)), x.T @ v, rtol=1e-13, atol=1e-13)
+    assert np.allclose(k.xt_dot(x, v), x.T @ v, rtol=1e-13, atol=1e-13)
 
 
 def test_col_sumsq_matches_blas(rng):
     x = _design(rng)
-    assert np.allclose(np.asarray(k.col_sumsq(x)), (x**2).sum(axis=0), rtol=1e-13, atol=1e-13)
+    assert np.allclose(k.col_sumsq(x), (x**2).sum(axis=0), rtol=1e-13, atol=1e-13)
 
 
 def test_x_dot_dense_matches_blas(rng):
     x = _design(rng)
     b = rng.standard_normal(17)
     b[::3] = 0.0
-    assert np.allclose(np.asarray(k.x_dot_dense(x, b)), x @ b, rtol=1e-13, atol=1e-13)
+    assert np.allclose(k.x_dot_dense(x, b), x @ b, rtol=1e-13, atol=1e-13)
 
 
 def test_x_dot_sparse_matches_blas(rng):
     x = _design(rng)
     idx = np.array([2, 5, 11], dtype=np.int64)
     vals = rng.standard_normal(3)
-    assert np.allclose(np.asarray(k.x_dot_sparse(x, idx, vals)), x[:, idx] @ vals, rtol=1e-13, atol=1e-13)
+    assert np.allclose(k.x_dot_sparse(x, idx, vals), x[:, idx] @ vals, rtol=1e-13, atol=1e-13)
 
 
 def test_x_dot_sparse_empty_support(rng):
     x = _design(rng)
-    out = np.asarray(k.x_dot_sparse(x, np.empty(0, dtype=np.int64), np.empty(0)))
+    out = k.x_dot_sparse(x, np.empty(0, dtype=np.int64), np.empty(0))
     assert out.shape == (40,)
     assert not out.any()
 
@@ -86,7 +86,7 @@ def test_cd_sweeps_skips_zero_columns():
 def test_pava_matches_scipy(rng):
     for _ in range(25):
         v = rng.standard_normal(rng.integers(1, 40))
-        ours = np.asarray(k.pava_decreasing(v))
+        ours = k.pava_decreasing(v)
         ref = isotonic_regression(v, increasing=False).x
         assert np.allclose(ours, ref, rtol=1e-12, atol=1e-12)
 
@@ -95,18 +95,18 @@ def test_pava_matches_scipy(rng):
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=30))
 def test_pava_properties(vals):
     v = np.asarray(vals)
-    out = np.asarray(k.pava_decreasing(v))
+    out = k.pava_decreasing(v)
     assert np.all(np.diff(out) <= 1e-9 * np.maximum(1.0, np.abs(out[:-1])))
     assert out.sum() == pytest.approx(v.sum(), rel=1e-9, abs=1e-6)
-    again = np.asarray(k.pava_decreasing(out))
+    again = k.pava_decreasing(out)
     assert np.allclose(again, out, rtol=1e-12, atol=1e-9)
 
 
 def test_pava_already_decreasing_is_identity():
     v = np.array([5.0, 3.0, 1.0, -2.0])
-    assert np.array_equal(np.asarray(k.pava_decreasing(v)), v)
+    assert np.array_equal(k.pava_decreasing(v), v)
 
 
 def test_pava_single_block_average():
     v = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(np.asarray(k.pava_decreasing(v)), [2.0, 2.0, 2.0])
+    assert np.allclose(k.pava_decreasing(v), [2.0, 2.0, 2.0])

@@ -347,6 +347,54 @@ def test_worker_count_honours_the_cgroup_cpu_quota(monkeypatch, files, expected)
     assert worker_count(7) == 7  # an explicit request is not capped
 
 
+_GB = 2**30
+_MEMINFO = "MemTotal:       16000000 kB\nMemAvailable:    {} kB\nBuffers:          100 kB"
+
+
+@pytest.mark.parametrize(
+    "files, expected",
+    [
+        ({}, 3),  # nothing readable: no memory cap
+        ({"/proc/meminfo": _MEMINFO.format(2 * _GB // 1024)}, 2),
+        ({"/proc/meminfo": _MEMINFO.format(_GB // 2048)}, 1),  # less than one design: still one worker
+        ({"/sys/fs/cgroup/memory.max": str(_GB)}, 1),
+        ({"/sys/fs/cgroup/memory.max": "max", "/proc/meminfo": _MEMINFO.format(64 * _GB // 1024)}, 3),
+        ({"/sys/fs/cgroup/memory.max": str(2 * _GB), "/proc/meminfo": _MEMINFO.format(64 * _GB // 1024)}, 2),
+        ({"/sys/fs/cgroup/memory.max": str(64 * _GB), "/proc/meminfo": _MEMINFO.format(_GB // 1024)}, 1),
+        ({"/sys/fs/cgroup/memory/memory.limit_in_bytes": str(2 * _GB)}, 2),
+        ({"/sys/fs/cgroup/memory/memory.limit_in_bytes": "9223372036854771712"}, 3),  # v1: no limit
+        ({"/sys/fs/cgroup/memory.max": "garbage", "/proc/meminfo": "MemAvailable: lots"}, 3),
+    ],
+)
+def test_worker_count_honours_the_memory_budget(monkeypatch, files, expected):
+    # each worker holds one 1 GiB design; the budget is the smaller of the
+    # cgroup memory limit and MemAvailable
+    monkeypatch.delenv("SPARSE_MINIMAX_THREADS", raising=False)
+    monkeypatch.setattr(risk_mod.os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    monkeypatch.setattr(risk_mod, "_read_cgroup_file", files.get)
+    assert worker_count(worker_bytes=_GB) == expected
+    assert worker_count() == 3  # no per-worker size, no memory cap
+    assert worker_count(7, worker_bytes=_GB) == 7  # an explicit request is not capped
+    monkeypatch.setenv("SPARSE_MINIMAX_THREADS", "5")
+    assert worker_count(worker_bytes=_GB) == 5  # nor is the environment
+
+
+def test_empirical_risks_sizes_workers_by_the_design(monkeypatch):
+    seen = []
+    real = risk_mod.worker_count
+
+    def spy(requested=None, worker_bytes=None):
+        seen.append((requested, worker_bytes))
+        return real(requested, worker_bytes)
+
+    monkeypatch.setattr(risk_mod, "worker_count", spy)
+    cfg = ExperimentConfig(
+        n=30, p=50, k=2, sigma=1.0, eps=0.1, estimator_id="oracle", amplitudes=(1.0,), reps=2, master_seed=3
+    )
+    empirical_risks(cfg, ("oracle",), threads=None)
+    assert seen == [(None, 8 * 30 * 50)]
+
+
 def test_shared_replicate_loop_draws_each_design_once(monkeypatch):
     drawn = []
     real_gen_design = risk_mod.gen_design

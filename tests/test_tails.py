@@ -1,6 +1,7 @@
 """Registry completeness, frozen bound arithmetic, cell-stream isolation,
 and the dual exact/brute route for the support-correlation statistic."""
 
+import dataclasses
 import math
 import sys
 import time
@@ -108,6 +109,16 @@ def test_grid_cells_use_isolated_streams():
     both = check_tail_bound("gauss_max", grid=grid2, reps=400, seed=5)
     first = check_tail_bound("gauss_max", grid=grid2[:1], reps=400, seed=5)
     assert both.rows[0].to_json() == first.rows[0].to_json()
+
+
+@pytest.mark.parametrize("grid", [[], ()])
+def test_empty_grid_is_rejected_before_any_cell(monkeypatch, grid):
+    def no_draws(*args):
+        raise AssertionError("a cell was simulated before the grid was checked")
+
+    monkeypatch.setitem(REGISTRY, "gauss_max", dataclasses.replace(REGISTRY["gauss_max"], simulate=no_draws))
+    with pytest.raises(ValueError, match=r"^gauss_max: grid must"):
+        check_tail_bound("gauss_max", grid=grid, reps=100)
 
 
 def test_cheap_rows_pass_at_modest_reps():
