@@ -23,11 +23,14 @@ _GRAM_LIMIT = 1200
 
 @dataclass(frozen=True)
 class SreEstimate:
-    """Upper bound on the cone constant theta(k, c0) with its witness.
+    """The cone constant theta(k, c0) at a witness: exact when the cone is
+    the whole space, an upper bound otherwise.
 
     ``argmin_vector`` is a unit vector inside the cone
     {||d||_1 <= (1+c0) sqrt(k) ||d||_2} and ``theta_upper`` equals
-    ||X d||_2 / sqrt(n) at that witness.
+    ||X d||_2 / sqrt(n) at that witness. When (1+c0) sqrt(k) >= sqrt(p) the
+    witness is a minimizer, so the value is exact. ``restarts`` counts the
+    descents actually run (0 on the exact route).
     """
 
     theta_upper: float
@@ -46,9 +49,10 @@ class SreEstimate:
 class EventAReport:
     """Outcome of the two-part design conditioning check.
 
-    ``holds`` is the conjunction of the exact column-norm test and the
-    proxy cone test; ``max_col_norm`` and ``theta_upper`` carry the
-    measured values behind the flags.
+    ``holds`` is the conjunction of the exact column-norm test and the cone
+    test, which is exact when the cone is the whole space and a proxy
+    otherwise; ``max_col_norm`` and ``theta_upper`` carry the measured values
+    behind the flags.
     """
 
     delta0: float
@@ -71,6 +75,15 @@ class EventAReport:
         }
 
 
+def _finite_col_sumsq(X: np.ndarray) -> np.ndarray:
+    """Column sums of squares of a Fortran-ordered design. A NaN or infinite
+    entry makes their sum non-finite, so the check costs no extra pass."""
+    col_sq = _k.col_sumsq(X)
+    if not math.isfinite(float(col_sq.sum())):
+        raise ValueError("X must be finite: its column sums of squares are not")
+    return col_sq
+
+
 def max_column_norm(X) -> float:
     """Largest Euclidean column norm of X."""
     X = np.asarray(X, dtype=np.float64)
@@ -78,7 +91,7 @@ def max_column_norm(X) -> float:
         raise ValueError(f"design must be 2-D, got shape {X.shape}")
     if X.shape[1] == 0:
         return 0.0
-    return math.sqrt(float(_k.col_sumsq(np.asfortranarray(X)).max()))
+    return math.sqrt(float(_finite_col_sumsq(np.asfortranarray(X)).max()))
 
 
 def delta_consts(eps: float) -> tuple[float, float]:
@@ -86,8 +99,8 @@ def delta_consts(eps: float) -> tuple[float, float]:
     delta0 = (1+eps/2)^(1/3) - 1 and
     c0 = 8 sqrt(2) (1+eps/2)^(2/3) / eps + 2/eps + 2.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     delta0 = (1.0 + eps / 2.0) ** (1.0 / 3.0) - 1.0
     c0 = 8.0 * math.sqrt(2.0) * (1.0 + eps / 2.0) ** (2.0 / 3.0) / eps + 2.0 / eps + 2.0
     return delta0, c0
@@ -198,16 +211,60 @@ def _cone_descent(matvec, v0: np.ndarray, rho: float, iters: int) -> tuple[float
     return f, v
 
 
-def sre_theta_estimate(X, k: int, c0: float, restarts: int = 64, seed: int | SeedSpec = 0) -> SreEstimate:
-    """Upper-bound the cone constant theta(k, c0) = min over the cone
-    {||d||_1 <= (1+c0) sqrt(k) ||d||_2} of ||Xd||_2 / (sqrt(n) ||d||_2).
+def _bottom_eigvec(X: np.ndarray, col_sq: np.ndarray, spec: SeedSpec) -> np.ndarray:
+    """Unnormalized bottom eigenvector of G = X'X/n: the smallest eigenvalue
+    from eigvalsh, then one inverse-iteration solve from a Gaussian start on
+    the restart stream. The shift sits eps * trace(G) below that eigenvalue,
+    so G - shift I stays invertible when the eigenvalue is exact (a scaled
+    identity), while the other eigenvectors are damped by about
+    eps * trace(G) / gap."""
+    n, p = X.shape
+    gram = X.T @ X
+    gram /= n
+    lam0 = float(np.linalg.eigvalsh(gram)[0])
+    trace = float(col_sq.sum()) / n
+    offset = np.finfo(np.float64).eps * trace if trace > 0.0 else 1.0  # X = 0: any vector
+    gram.flat[:: p + 1] -= lam0 - offset
+    return np.linalg.solve(gram, spec.generator(ROLE_RESTART, 0).standard_normal(p))
 
-    Multi-start projected descent: the first start is the minimum-norm
-    column direction, the second the most correlated signed column pair
-    (when the Gram matrix is small enough to form), the rest alternate
-    random k-sparse and dense directions. Each restart draws from its own
-    stream, so the reduce is order-insensitive; exact value ties are broken
-    by the lexicographically smallest witness bytes.
+
+def _whole_space_theta(X: np.ndarray, col_sq: np.ndarray, spec: SeedSpec) -> tuple[float, np.ndarray]:
+    """theta over the whole space, sigma_min(X)/sqrt(n), reported as
+    ||X d||/sqrt(n) at a unit minimizer d whose largest-magnitude entry is
+    positive. For p > n the minimum is 0, attained at a null vector of the
+    first n+1 columns."""
+    n, p = X.shape
+    if p <= n:
+        d = _bottom_eigvec(X, col_sq, spec)
+    else:
+        d = np.zeros(p)
+        d[n] = -1.0
+        try:
+            d[:n] = np.linalg.solve(X[:, :n], X[:, n])
+        except np.linalg.LinAlgError:  # exactly singular leading block
+            d[: n + 1] = _bottom_eigvec(X[:, : n + 1], col_sq[: n + 1], spec)
+    d /= math.sqrt(float(d.dot(d)))
+    if d[int(np.argmax(np.abs(d)))] < 0.0:
+        d = -d
+    xd = X @ d
+    return math.sqrt(float(xd.dot(xd))) / math.sqrt(n), d
+
+
+def sre_theta_estimate(X, k: int, c0: float, restarts: int = 64, seed: int | SeedSpec = 0) -> SreEstimate:
+    """The cone constant theta(k, c0) = min over the cone
+    {||d||_1 <= (1+c0) sqrt(k) ||d||_2} of ||Xd||_2 / (sqrt(n) ||d||_2),
+    exact when the cone is the whole space and an upper bound otherwise.
+
+    Since ||d||_1 <= sqrt(p) ||d||_2 for every d, the cone is the whole space
+    when (1+c0) sqrt(k) >= sqrt(p); theta is then sigma_min(X)/sqrt(n) (0
+    when p > n) and is computed exactly, with no descent.
+
+    Otherwise, multi-start projected descent: the first start is the
+    minimum-norm column direction, the second the most correlated signed
+    column pair (when the Gram matrix is small enough to form), the rest
+    alternate random k-sparse and dense directions. Each restart draws from
+    its own stream, so the reduce is order-insensitive; exact value ties are
+    broken by the lexicographically smallest witness bytes.
     """
     X = np.asfortranarray(X, dtype=np.float64)
     n, p = X.shape
@@ -217,8 +274,14 @@ def sre_theta_estimate(X, k: int, c0: float, restarts: int = 64, seed: int | See
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
+    if not (math.isfinite(c0) and c0 >= 0):
+        raise ValueError(f"c0 must be finite and non-negative, got {c0}")
     spec = seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
     rho = (1.0 + c0) * math.sqrt(k)
+    col_sq = _finite_col_sumsq(X)
+    if rho >= math.sqrt(p):
+        theta, witness = _whole_space_theta(X, col_sq, spec)
+        return SreEstimate(theta, 0, witness)
 
     gram = None
     if p <= _GRAM_LIMIT:
@@ -234,8 +297,6 @@ def sre_theta_estimate(X, k: int, c0: float, restarts: int = 64, seed: int | See
             return _k.xt_dot(X, _k.x_dot_dense(X, v)) / n
 
         iters = 60
-
-    col_sq = _k.col_sumsq(X)
 
     def start_vector(slot: int) -> np.ndarray:
         if slot == 0:
@@ -279,9 +340,11 @@ def event_a_check(X, k: int, eps: float, restarts: int = 64, seed: int | SeedSpe
     """Check the conditioning event behind the Lasso branch: every column
     norm at most (1+delta0) sqrt(n), and cone constant at least 1-delta0.
 
-    The column-norm branch is exact. The cone branch compares an upper
-    bound against the target, so it can only fail to reject; the report
-    carries both measurements for the caller to judge.
+    The column-norm branch is exact. The cone branch is exact when the
+    cone is the whole space, (1+c0) sqrt(k) >= sqrt(p), as at every size the
+    acceptance tests and the benchmark use; on a narrower cone it compares
+    the descent's upper bound against the target, so it can only fail to
+    reject. The report carries both measurements for the caller to judge.
     """
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]

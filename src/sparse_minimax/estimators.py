@@ -544,11 +544,12 @@ def aggregated_estimate(
     best-subset search otherwise.
 
     Returns (EstimatorResult, EventAReport). The event's cone constant is
-    checked through an upper-bound estimate (see event_a_check), so the
-    branch decision is a proxy; both branches are valid estimators either
-    way, and the report records which test failed. ``lam`` overrides the
-    Lasso level, for callers that set it from a reference scale instead of
-    the instance's own noise level.
+    exact when the cone is the whole space; on a narrower cone it is an
+    upper-bound estimate and the branch decision is a proxy (see
+    event_a_check). Both branches are valid estimators either way, and the
+    report records which test failed. ``lam`` overrides the Lasso level,
+    for callers that set it from a reference scale instead of the
+    instance's own noise level.
     """
     from .diagnostics import event_a_check
 

@@ -178,6 +178,16 @@ def test_diagnose_design_exit_codes(capsys):
     assert json.loads(capsys.readouterr().out)["holds"] is False
 
 
+@pytest.mark.parametrize("eps", ["inf", "nan"])
+def test_diagnose_design_rejects_nonfinite_eps_by_name(tmp_path, capsys, eps):
+    out = tmp_path / "diag"
+    out.mkdir()
+    code = run(["diagnose-design", "--n", "40", "--p", "30", "--k", "2", "--eps", eps, "--out", str(out)])
+    assert code == 1
+    assert "eps must be positive and finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_diagnose_design_writes_replayable_run(tmp_path, capsys):
     out = tmp_path / "diag"
     out.mkdir()
@@ -285,6 +295,44 @@ def test_grid_text_parser():
         _parse_grid_text("p = ten\n")
     with pytest.raises(ValueError):
         _parse_grid_text("# nothing\n")
+
+
+SETUP_PROBE = """
+import sys
+import sparse_minimax
+from sparse_minimax.cli import run
+
+config, out = sys.argv[1:]
+assert run(["diagnose-design", "--n", "40", "--p", "30", "--k", "2", "--eps", "0.1", "--restarts", "2"]) in (0, 2)
+assert run(["sweep", "--config", config, "--estimators", "oracle,lasso,slope", "--out", out]) == 0
+print("loaded:" + ",".join(m for m in ("scipy.linalg", "scipy.optimize") if m in sys.modules))
+"""
+
+
+def test_cli_paths_load_no_heavy_scipy_module(tmp_path):
+    # scipy.linalg and scipy.optimize cost 0.08-0.25 s to import, which a
+    # short command pays in full; the package needs neither
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import sparse_minimax
+
+    config = tmp_path / "tiny.cfg"
+    config.write_text(RISK_CFG.replace("n = 30", "n = 60").replace("p = 12", "p = 120"))
+    out = tmp_path / "sweep"
+    out.mkdir()
+    src = str(pathlib.Path(sparse_minimax.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", SETUP_PROBE, str(config), str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "loaded:"
 
 
 def test_console_script_is_installed():

@@ -36,8 +36,9 @@ def test_delta_consts_monotone_in_eps():
 
 
 def test_delta_consts_rejects_nonpositive_eps():
-    with pytest.raises(ValueError):
-        delta_consts(0.0)
+    for eps in (0.0, -1.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="eps"):
+            delta_consts(eps)
 
 
 def test_c0_general_collapse():
@@ -100,10 +101,20 @@ def test_sparse_min_eig_validation(rng):
 
 
 def test_theta_estimate_identity_design():
-    n = 16
-    X = math.sqrt(n) * np.eye(n)
-    est = sre_theta_estimate(X, 2, 10.0, restarts=4)
-    assert est.theta_upper == pytest.approx(1.0, abs=1e-9)
+    # every eigenvalue of X'X/n is 1: the shifted solve must not be singular
+    for n in (9, 16, 24):
+        X = math.sqrt(n) * np.eye(n)
+        est = sre_theta_estimate(X, 2, 10.0, restarts=4)
+        assert est.theta_upper == pytest.approx(1.0, abs=1e-9)
+        assert est.restarts == 0
+        assert np.linalg.norm(est.argmin_vector) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(10, 5), (5, 10)])
+def test_theta_estimate_zero_design(shape):
+    est = sre_theta_estimate(np.zeros(shape), 2, 10.0)
+    assert est.theta_upper == 0.0
+    assert np.linalg.norm(est.argmin_vector) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_theta_estimate_is_sandwiched(rng):
@@ -209,6 +220,95 @@ def test_theta_estimate_validation(rng):
         sre_theta_estimate(X, 2, 1.0, restarts=0)
 
 
+@pytest.mark.parametrize("c0", [math.nan, math.inf, -5.0, -1e-300])
+def test_theta_estimate_rejects_bad_c0_by_name(rng, c0):
+    X = rng.standard_normal((30, 12))
+    with pytest.raises(ValueError, match="c0"):
+        sre_theta_estimate(X, 3, c0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_design_is_rejected_by_name(rng, bad):
+    X = rng.standard_normal((30, 12))
+    X[4, 7] = bad
+    with pytest.raises(ValueError, match="X must be finite"):
+        sre_theta_estimate(X, 2, 5.0)
+    with pytest.raises(ValueError, match="X must be finite"):
+        max_column_norm(X)
+    with pytest.raises(ValueError, match="X must be finite"):
+        event_a_check(X, 2, 0.1, restarts=2)
+
+
+# (n, p, k, c0) with (1+c0) sqrt(k) >= sqrt(p): the cone is the whole space
+VACUOUS = [(30, 12, 3, 5.0), (25, 10, 2, 3.0), (50, 40, 2, 50.0), (100, 20, 1, 4.0), (200, 150, 8, 138.9)]
+
+
+@pytest.mark.parametrize("n,p,k,c0", VACUOUS)
+def test_descent_never_reports_below_the_exact_value_on_vacuous_cones(n, p, k, c0):
+    X = gen_design(n, p, SeedSpec(n, p)).entries
+    rho = (1.0 + c0) * math.sqrt(k)
+    assert rho >= math.sqrt(p)
+    exact = sre_theta_estimate(X, k, c0, seed=SeedSpec(4))
+    smin = float(np.linalg.svd(X, compute_uv=False)[-1]) / math.sqrt(n)
+    assert exact.theta_upper == pytest.approx(smin, rel=1e-10)
+
+    gram = (X.T @ X) / n
+    rng = np.random.default_rng(p)
+    starts = [np.eye(p)[int(np.argmin((X * X).sum(axis=0)))]] + [rng.standard_normal(p) for _ in range(7)]
+    for v0 in starts:
+        f, v = diagnostics._cone_descent(lambda u: gram @ u, v0, rho, 150)
+        # the descent's value is certified by its witness ...
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert f == pytest.approx(float(np.linalg.norm(X @ v)) ** 2 / n, rel=1e-10, abs=1e-15)
+        # ... so it can never undercut the exact minimum
+        assert math.sqrt(max(f, 0.0)) >= exact.theta_upper - 1e-12
+
+
+@pytest.mark.parametrize("n,p,k,c0", VACUOUS)
+def test_exact_witness_is_a_unit_vector_at_the_reported_value(n, p, k, c0):
+    X = gen_design(n, p, SeedSpec(n, p)).entries
+    est = sre_theta_estimate(X, k, c0, restarts=5)
+    v = est.argmin_vector
+    assert est.restarts == 0
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert float(np.linalg.norm(X @ v)) / math.sqrt(n) == est.theta_upper
+    assert v[int(np.argmax(np.abs(v)))] > 0.0  # sign fixed by the largest entry
+
+
+@pytest.mark.parametrize("shape", [(60, 1300), (1300, 1250)])
+def test_exact_route_runs_no_descent(monkeypatch, shape):
+    # without the exact route both sizes would take the matrix-free descent
+    X = gen_design(*shape, SeedSpec(3)).entries
+    assert X.shape[1] > diagnostics._GRAM_LIMIT
+    calls = []
+    descent, x_dot_dense = diagnostics._cone_descent, _kernels.x_dot_dense
+
+    def counting_descent(*args):
+        calls.append("_cone_descent")
+        return descent(*args)
+
+    def counting_x_dot_dense(*args):
+        calls.append("x_dot_dense")
+        return x_dot_dense(*args)
+
+    monkeypatch.setattr(diagnostics, "_cone_descent", counting_descent)
+    monkeypatch.setattr(_kernels, "x_dot_dense", counting_x_dot_dense)
+    est = sre_theta_estimate(X, 2, 40.0, restarts=2)
+    assert calls == []
+    assert est.restarts == 0
+
+
+@pytest.mark.parametrize("zero_column", [None, 3])
+def test_wide_design_has_zero_theta(zero_column):
+    X = gen_design(30, 40, SeedSpec(8)).entries.copy(order="F")
+    if zero_column is not None:
+        X[:, zero_column] = 0.0  # the leading 30x30 block is exactly singular
+    est = sre_theta_estimate(X, 2, 10.0)
+    assert est.theta_upper <= 1e-10
+    assert np.linalg.norm(est.argmin_vector) == pytest.approx(1.0, abs=1e-12)
+    assert est.restarts == 0
+
+
 @pytest.mark.parametrize("eps", [0.05, 0.1, 0.5, 1.0, 2.0])
 def test_event_holds_on_scaled_identity(eps):
     n = 24
@@ -235,6 +335,7 @@ def test_event_rejects_wide_design():
     report = event_a_check(X, 2, 0.1, restarts=6)
     assert not report.theta_ok
     assert not report.holds
+    assert report.theta_upper <= 1e-10
 
 
 def test_event_report_json_fields():
