@@ -9,7 +9,7 @@ column access in the sweep kernels is contiguous.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -104,12 +104,22 @@ class SlopeConfig:
 
 @dataclass(frozen=True)
 class EstimatorResult:
+    """A fit's coefficients, work and certificate.
+
+    ``gradient`` is X'(y - X beta_hat), unscaled, from the fit's last
+    full-design product when that product was taken at ``beta_hat``
+    (always for a converged Lasso or SLOPE fit); None otherwise. A caller
+    can carry it to the next fit on the same design as ``g0``. It is not
+    part of :meth:`to_json`.
+    """
+
     beta_hat: np.ndarray
     iterations: int
     kkt_residual: float
     objective: float
     converged: bool
     branch: str | None = None
+    gradient: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
         out = {
@@ -179,7 +189,15 @@ def _design_vector(v, p: int, name: str) -> np.ndarray:
     return v
 
 
-def lasso_fit(X, y, config: LassoConfig, b0=None, col_sq=None, xty=None) -> EstimatorResult:
+def _finite_vector(v, p: int, name: str) -> np.ndarray:
+    """A caller-supplied start point or gradient: shape-checked and finite."""
+    v = _design_vector(v, p, name)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
+    return v
+
+
+def lasso_fit(X, y, config: LassoConfig, b0=None, col_sq=None, xty=None, g0=None) -> EstimatorResult:
     """Solve argmin_b (1/2n)||y - Xb||^2 + lam*||b||_1 by cyclic coordinate
     minimization over an active set that grows on KKT violations.
 
@@ -187,7 +205,12 @@ def lasso_fit(X, y, config: LassoConfig, b0=None, col_sq=None, xty=None) -> Esti
     ``converged`` result certifies every coordinate, not just active ones.
     ``b0`` warm-starts the sweep. ``col_sq`` supplies the squared column
     norms of X and ``xty`` the product X'y when the caller already has
-    them (e.g. reused across fits on one design or one response).
+    them (e.g. reused across fits on one design or one response). ``g0``
+    supplies the start gradient X'(y - X b0) (X'y without ``b0``), e.g.
+    carried from an earlier fit's ``gradient``; it only picks the first
+    active set, since every KKT check takes a direct product after the
+    sweeps, so a wrong ``g0`` costs sweeps, not correctness. The result's
+    ``gradient`` is the product behind ``kkt_residual``.
     """
     X = _as_design(X)
     n, p = X.shape
@@ -203,13 +226,15 @@ def lasso_fit(X, y, config: LassoConfig, b0=None, col_sq=None, xty=None) -> Esti
     if b0 is None:
         w = np.zeros(p)
         r = y.copy()
-        g = xty = _k.xt_dot(X, y) if xty is None else xty
     else:
-        w = np.array(b0, dtype=np.float64, copy=True)
-        if w.shape != (p,):
-            raise ValueError(f"b0 has shape {w.shape}, expected ({p},)")
+        w = _finite_vector(b0, p, "b0").copy()
         idx = np.flatnonzero(w)
         r = y - _k.x_dot_sparse(X, idx.astype(np.intp), w[idx])
+    if g0 is not None:
+        g = _finite_vector(g0, p, "g0")
+    elif b0 is None:
+        g = xty = _k.xt_dot(X, y) if xty is None else xty
+    else:
         g = _k.xt_dot(X, r)
 
     tol = config.tol
@@ -244,7 +269,7 @@ def lasso_fit(X, y, config: LassoConfig, b0=None, col_sq=None, xty=None) -> Esti
         active = grown
 
     objective = 0.5 * float(r @ r) / n + lam * float(np.abs(w).sum())
-    return EstimatorResult(w, total, kkt, objective, converged)
+    return EstimatorResult(w, total, kkt, objective, converged, gradient=g)
 
 
 def lasso_kkt_residual(X, y, b, lam: float) -> float:
@@ -384,7 +409,7 @@ def _fista_on_slab(Xw, y, lam_w, b_init, t, tol_inner, it_cap, n):
     return b, rb, it, t
 
 
-def slope_fit(X, y, config: SlopeConfig, b0=None, xty=None) -> EstimatorResult:
+def slope_fit(X, y, config: SlopeConfig, b0=None, xty=None, g0=None) -> EstimatorResult:
     """Solve argmin_b (1/2n)||y - Xb||^2 + sum_i lambda_i |b|_(i).
 
     Proximal gradient (FISTA) on a working set of columns, with the prox of
@@ -399,7 +424,13 @@ def slope_fit(X, y, config: SlopeConfig, b0=None, xty=None) -> EstimatorResult:
     / t, which vanishes exactly at solutions for any step t > 0; the cap
     changes the path to it, not the stopping rule. ``xty`` supplies
     X'y when the caller already has it (e.g. shared with a Lasso fit on the
-    same response).
+    same response); a cold fit takes it as its first gradient. ``g0``
+    supplies the start gradient X'(y - X b0) (X'y without ``b0``), e.g.
+    carried from an earlier fit's ``gradient``, in place of the first
+    outer step's product. A supplied gradient only steers the first step:
+    if the check on it passes, a direct product is taken before
+    convergence is declared, so every certificate, and the result's
+    ``gradient``, is a direct full-design product.
     """
     X = _as_design(X)
     n, p = X.shape
@@ -408,22 +439,21 @@ def slope_fit(X, y, config: SlopeConfig, b0=None, xty=None) -> EstimatorResult:
     if lam.shape != (p,):
         raise ValueError(f"lambda_seq has length {lam.size}, expected {p}")
 
-    if b0 is None:
-        b = np.zeros(p)
-    else:
-        b = np.array(b0, dtype=np.float64, copy=True)
-        if b.shape != (p,):
-            raise ValueError(f"b0 has shape {b.shape}, expected ({p},)")
+    b = np.zeros(p) if b0 is None else _finite_vector(b0, p, "b0").copy()
     idx = np.flatnonzero(b).astype(np.intp)
     r = y - _k.x_dot_sparse(X, idx, b[idx])
 
     if xty is not None:
         xty = _design_vector(xty, p, "xty")
+    if g0 is not None:
+        g0 = _finite_vector(g0, p, "g0")
     tol = config.tol
     if tol is None:
         if xty is None:
             xty = _k.xt_dot(X, y)
         tol = 1e-8 * max(1.0, float(np.abs(xty).max(initial=0.0)) / n)
+    if g0 is None and b0 is None:
+        g0 = xty  # r = y, so X'r = X'y
 
     lip = config.lipschitz if config.lipschitz is not None else _spectral_bound(X)
     if lip <= 0.0:
@@ -436,11 +466,18 @@ def slope_fit(X, y, config: SlopeConfig, b0=None, xty=None) -> EstimatorResult:
     fp = math.inf
     work = np.flatnonzero(b)
     tol_inner = 0.3 * tol
+    xr = g0  # X'r at b; a supplied one is used once, for the first step
     while True:
-        g = _k.xt_dot(X, r) / n
+        direct = xr is None
+        if direct:
+            xr = _k.xt_dot(X, r)
+        g = xr / n
         pb = prox_sorted_l1(b + t * g, t * lam)
         fp = float(np.abs(b - pb).max(initial=0.0)) / t
         if fp <= tol:
+            if not direct:
+                xr = None  # certify on a direct product, at the same b
+                continue
             converged = True
             break
         if total >= config.max_iter:
@@ -464,9 +501,10 @@ def slope_fit(X, y, config: SlopeConfig, b0=None, xty=None) -> EstimatorResult:
         b = np.zeros(p)
         b[work] = bw
         r = rw
+        xr = None
 
     objective = _slope_objective(r, b, lam, n)
-    return EstimatorResult(b, total, fp, objective, converged)
+    return EstimatorResult(b, total, fp, objective, converged, gradient=xr if direct else None)
 
 
 def mle_best_subset(X, y, k: int, enum_cap: int = 10**6) -> EstimatorResult:

@@ -316,9 +316,17 @@ def _replicate_errors(config: ExperimentConfig, ids, rep: int, lam: float, seq, 
     draw all come from the replicate's own stream. The design is drawn once,
     and its column norms, X'z and SLOPE's start step are computed once per
     replicate; each depends only on the design and the noise, which every
-    amplitude shares (z is the noise role's slot 0). X'y is computed once
-    per amplitude for the Lasso and SLOPE. Sharing them leaves each
-    estimator's bytes as they are when it runs alone.
+    amplitude shares (z is the noise role's slot 0, and the support role
+    redraws the same support).
+
+    Every amplitude's response is y_a = X_S (a 1) + z on one support S, so
+    with h = X'(X_S 1), taken once, X'y_a = X'z + a h, and the Lasso's and
+    SLOPE's start gradients X'(y_a - X b) at the previous amplitude's
+    solution b are that fit's final ``gradient`` plus (a - a_prev) h. Both
+    fits take those as ``xty`` and ``g0`` instead of full-design products;
+    each still certifies its result on a direct product, and an amplitude
+    whose support is not h's gets direct products and starts the carry
+    afresh. Each estimator's bytes are as when it runs alone.
     """
     spec = SeedSpec(config.master_seed, rep)
     design = gen_design(config.n, config.p, spec)
@@ -326,30 +334,50 @@ def _replicate_errors(config: ExperimentConfig, ids, rep: int, lam: float, seq, 
     iterative = "lasso" in ids or "slope" in ids  # the fits that use col_sq and X'y
     col_sq = _k.col_sumsq(X) if iterative else None
     lip = _spectral_bound(X, col_sq) if "slope" in ids else None
-    xtz = None
+    xtz = h = h_support = None
+    coef_prev = None  # the signal value that the carried gradients belong to
 
     errs = np.empty((len(ids), len(amps_abs)))
     flags = np.zeros((len(ids), len(amps_abs)), dtype=bool)
     warm = [None] * len(ids)  # previous amplitude's solution; same design, so a good start
+    grads = [None] * len(ids)  # X'(y - X warm) at the previous amplitude
     for a, amp in enumerate(amps_abs):
         signal = make_signal(config.p, config.k, amp, config.support_rule, spec)
         inst = synthesize(design, signal, config.sigma, spec)
         beta = signal.dense()
-        xty = _k.xt_dot(X, inst.response) if iterative else None
+        if xtz is None and (iterative or "oracle" in ids):
+            xtz = _k.xt_dot(X, inst.noise.z)
+        if iterative:
+            support = signal.support
+            if support.size and h is None:
+                h_support = support
+                h = _k.xt_dot(X, _k.x_dot_sparse(X, support, np.ones(support.size)))
+            # amplitude 0 has an empty support and y = z
+            coef = amp if support.size == 0 or np.array_equal(support, h_support) else None
+            if coef is None:
+                xty = _k.xt_dot(X, inst.response)
+                shift = None
+            else:
+                xty = xtz + coef * h if coef else xtz
+                shift = None if coef_prev is None else coef - coef_prev
+            coef_prev = coef
         for e, est in enumerate(ids):
             if est == "oracle":
-                if xtz is None:
-                    xtz = _k.xt_dot(X, inst.noise.z)
                 beta_hat = oracle_estimator(beta, X, inst.noise.z, lam, xtz=xtz)
-            elif est == "lasso":
-                res = lasso_fit(X, inst.response, LassoConfig(lam=lam), b0=warm[e], col_sq=col_sq, xty=xty)
+            elif est in ("lasso", "slope"):
+                g0 = None
+                if grads[e] is not None and shift is not None:
+                    g0 = grads[e] + shift * h if shift else grads[e]
+                if est == "lasso":
+                    res = lasso_fit(
+                        X, inst.response, LassoConfig(lam=lam), b0=warm[e], col_sq=col_sq, xty=xty, g0=g0
+                    )
+                else:
+                    res = slope_fit(
+                        X, inst.response, SlopeConfig(lambda_seq=seq, lipschitz=lip), b0=warm[e], xty=xty, g0=g0
+                    )
                 beta_hat = warm[e] = res.beta_hat
-                flags[e, a] = not res.converged
-            elif est == "slope":
-                res = slope_fit(
-                    X, inst.response, SlopeConfig(lambda_seq=seq, lipschitz=lip), b0=warm[e], xty=xty
-                )
-                beta_hat = warm[e] = res.beta_hat
+                grads[e] = res.gradient
                 flags[e, a] = not res.converged
             elif est == "mle":
                 beta_hat = mle_best_subset(X, inst.response, config.k).beta_hat
@@ -375,6 +403,11 @@ def _risk_report(config: ExperimentConfig, est: str, errors: np.ndarray, flags: 
     stderrs = []
     for a in range(errors.shape[0]):
         vals = errors[a][~flags[a]]
+        if vals.size == 0:
+            raise RuntimeError(
+                f"{est}: every fit at amplitude {config.amplitudes[a]} failed to converge; "
+                "that amplitude has no mean"
+            )
         means.append(float(np.mean(vals)))
         if vals.size >= 2:
             stderrs.append(float(np.std(vals, ddof=1) / math.sqrt(vals.size)))

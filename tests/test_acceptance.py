@@ -9,6 +9,7 @@ starting to pass would itself fail the suite.
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
@@ -34,6 +35,7 @@ from sparse_minimax.risk import (
     slope_highprob_check,
     st_risk_bounds_check,
     st_risk_exact,
+    worker_count,
 )
 from sparse_minimax.rng import SeedSpec
 from sparse_minimax.tails import REGISTRY, binom_bound_check, check_tail_bound
@@ -137,9 +139,9 @@ def test_oracle_lasso_gap_at_scale(announce):
     k_star = 2 * k
     lam = lambda_eps(eps, sigma, n, p, k)
     amp = 4.0 * sigma * math.sqrt(2.0 * math.log(p / k) / n)  # mid-sweep signal level
-    contained = checked = violations = 0
     reps = 100
-    for rep in range(reps):
+
+    def replicate(rep: int):
         spec = SeedSpec(DESK["master_seed"], rep)
         design = gen_design(n, p, spec)
         signal = make_signal(p, k, amp, seed=spec)
@@ -148,12 +150,15 @@ def test_oracle_lasso_gap_at_scale(announce):
         res = lasso_fit(design.entries, inst.response, LassoConfig(lam=lam))
         beta_o = oracle_estimator(beta, design.entries, inst.noise.z, lam)
         report = b_delta_check(inst, res.beta_hat, beta_o, k_star)
-        contained += report.contains_all
         check = oracle_lasso_gap_check(beta, res.beta_hat, beta_o, report)
-        if check.vacuous:
-            continue
-        checked += 1
-        violations += not check.holds
+        return report.contains_all, check.vacuous, check.holds
+
+    # each worker holds its own desk design; pool.map returns by index
+    with ThreadPoolExecutor(max_workers=worker_count(worker_bytes=8 * n * p)) as pool:
+        results = list(pool.map(replicate, range(reps)))
+    contained = sum(c for c, _, _ in results)
+    checked = sum(not v for _, v, _ in results)
+    violations = sum(not v and not h for _, v, h in results)
     rate = contained / reps
     ok = violations == 0 and checked > 0 and rate >= 0.90
     announce(

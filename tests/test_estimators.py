@@ -658,3 +658,87 @@ def test_slope_on_unit_norm_columns_past_the_svd_cutoff():
     # an unscaled edge would start with a step n times too small: still
     # convergent, but in about 20 times the iterations
     assert est.iterations <= 2 * ref.iterations
+
+
+def _recording_xt_dot(monkeypatch):
+    """Replace the full-design product with one that logs (v, X'v)."""
+    log = []
+    real = _kernels.xt_dot
+
+    def recording(x, v):
+        out = real(x, v)
+        log.append((np.array(v, copy=True), out))
+        return out
+
+    monkeypatch.setattr(_kernels, "xt_dot", recording)
+    return log
+
+
+def _carry_problem(rng):
+    X = np.asfortranarray(rng.standard_normal((60, 30)))
+    beta = np.zeros(30)
+    beta[:3] = (2.0, -1.5, 1.0)
+    y = X @ beta + 0.3 * rng.standard_normal(60)
+    return X, y
+
+
+@pytest.mark.parametrize("start", ["zeros", "random"])
+@pytest.mark.parametrize("warm", [False, True])
+def test_wrong_carried_gradient_still_converges_on_a_direct_certificate(rng, monkeypatch, start, warm):
+    # g0 only steers the first step; convergence is declared on a direct
+    # X'r at the returned coefficients, which is the result's gradient
+    X, y = _carry_problem(rng)
+    n, p = X.shape
+    tol = 1e-10
+    g0 = np.zeros(p) if start == "zeros" else 50.0 * rng.standard_normal(p)
+    fits = (
+        (lasso_fit, LassoConfig(lam=0.1, tol=tol)),
+        (slope_fit, SlopeConfig(lambda_seq=slope_lambda_seq(0.1, 0.3, n, p, 0.5), tol=tol)),
+    )
+    for fit, cfg in fits:
+        direct = fit(X, y, cfg)
+        b0 = 0.5 * direct.beta_hat if warm else None
+        log = _recording_xt_dot(monkeypatch)
+        res = fit(X, y, cfg, b0=b0, g0=g0)
+        monkeypatch.undo()
+        assert res.converged and res.kkt_residual <= tol
+        assert np.allclose(res.beta_hat, direct.beta_hat, rtol=0, atol=1e-8)
+        v, out = log[-1]
+        assert np.allclose(v, y - X @ res.beta_hat, rtol=0, atol=1e-10)
+        assert res.gradient is out
+        if fit is lasso_fit:
+            assert estimators_mod._kkt_from_grad(out / n, res.beta_hat, cfg.lam) == res.kkt_residual
+
+
+def test_slope_certifies_a_passing_carried_gradient_directly(rng, monkeypatch):
+    # started at its own solution with its own gradient, the first check
+    # passes on the carried gradient; a direct product still certifies it
+    X, y = _carry_problem(rng)
+    cfg = SlopeConfig(lambda_seq=slope_lambda_seq(0.1, 0.3, 60, 30, 0.5), tol=1e-10)
+    ref = slope_fit(X, y, cfg)
+    log = _recording_xt_dot(monkeypatch)
+    res = slope_fit(X, y, cfg, b0=ref.beta_hat, g0=ref.gradient)
+    assert res.converged and res.iterations == 0
+    assert len(log) == 1 and res.gradient is log[0][1]
+    assert np.array_equal(res.beta_hat, ref.beta_hat)
+
+
+def test_start_points_and_gradients_are_checked_by_name(rng):
+    X, y = _carry_problem(rng)
+    p = X.shape[1]
+    fits = (
+        (lasso_fit, LassoConfig(lam=0.1)),
+        (slope_fit, SlopeConfig(lambda_seq=np.full(p, 0.1))),
+    )
+    for fit, cfg in fits:
+        with pytest.raises(ValueError, match=r"g0 has shape \(5,\)"):
+            fit(X, y, cfg, g0=np.zeros(5))
+        with pytest.raises(ValueError, match=r"b0 has shape \(5,\)"):
+            fit(X, y, cfg, b0=np.zeros(5))
+        for bad in (math.nan, math.inf, -math.inf):
+            v = np.zeros(p)
+            v[3] = bad
+            with pytest.raises(ValueError, match="b0 must be finite"):
+                fit(X, y, cfg, b0=v)
+            with pytest.raises(ValueError, match="g0 must be finite"):
+                fit(X, y, cfg, g0=v)

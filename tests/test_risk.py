@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import sparse_minimax.risk as risk_mod
+from sparse_minimax import _kernels
 from sparse_minimax.design import gen_design, make_signal, synthesize
 from sparse_minimax.estimators import EstimatorResult, lambda_eps, mle_best_subset
 from sparse_minimax.risk import (
@@ -177,7 +178,7 @@ def test_replicates_and_amplitudes_fill_error_matrix():
 
 
 def test_nonconvergence_aborts(monkeypatch):
-    def refuse(X, y, config, b0=None, col_sq=None, xty=None):
+    def refuse(X, y, config, b0=None, col_sq=None, xty=None, g0=None):
         return EstimatorResult(np.zeros(X.shape[1]), 0, 1.0, 0.0, False)
 
     monkeypatch.setattr(risk_mod, "lasso_fit", refuse)
@@ -436,8 +437,6 @@ def test_empirical_risks_validation():
 def test_slope_past_the_svd_cutoff_needs_no_power_iteration(monkeypatch):
     # 300 x 900 is past the exact-SVD size, so the start step comes from the
     # Gaussian edge; no full-design X v product is made anywhere in the run
-    from sparse_minimax import _kernels
-
     calls = []
     real_x_dot_dense = _kernels.x_dot_dense
 
@@ -460,3 +459,91 @@ def test_slope_past_the_svd_cutoff_needs_no_power_iteration(monkeypatch):
     report = empirical_risks(cfg, ["lasso", "slope"], threads=1)["slope"]
     assert calls == []
     assert report.flagged == 0
+
+
+def test_an_amplitude_with_every_fit_flagged_is_an_error(monkeypatch):
+    # one flagged fit in 100 stays inside the 1% rule, but with one
+    # replicate it leaves its amplitude with no fit to average
+    real = risk_mod.lasso_fit
+    seen = []
+
+    def flag_first(X, y, config, **kw):
+        res = real(X, y, config, **kw)
+        seen.append(None)
+        return replace(res, converged=len(seen) > 1)
+
+    monkeypatch.setattr(risk_mod, "lasso_fit", flag_first)
+    cfg = ExperimentConfig(
+        n=20,
+        p=10,
+        k=2,
+        sigma=1.0,
+        eps=0.1,
+        estimator_id="lasso",
+        amplitudes=tuple(0.5 + 0.1 * i for i in range(100)),
+        reps=1,
+        master_seed=0,
+    )
+    with pytest.raises(RuntimeError, match=r"every fit at amplitude 0\.5 failed to converge"):
+        empirical_risk(cfg, threads=1)
+
+
+# small versions of the desk sweep's shapes: first_k at two seeds, a random
+# support with a zero and a negative amplitude, noiseless, and n > p
+_CARRY_BASE = dict(
+    n=150, p=300, k=4, sigma=1.0, eps=0.1, estimator_id="oracle",
+    amplitudes=(0.25, 0.5, 1.0, 2.0, 4.0, 8.0), reps=2, master_seed=1,
+)
+_CARRY_CASES = {
+    "first_k": {},
+    "first_k_seed_7919": dict(master_seed=7919),
+    "random_support": dict(support_rule="random", amplitudes=(8.0, 4.0, 0.0, 1.0, -2.0, 0.5)),
+    "noiseless": dict(sigma=0.0, noise_scale=1.0),
+    "n_above_p": dict(n=300, p=150),
+}
+
+
+def _direct_fit(fit):
+    """``fit`` with the sweep's carried X'y and start gradient replaced by
+    direct products: the reference every carried run must match."""
+
+    def run(X, y, config, b0=None, xty=None, g0=None, **kw):
+        return fit(X, y, config, b0=b0, xty=_kernels.xt_dot(X, y), **kw)
+
+    return run
+
+
+@pytest.mark.filterwarnings("ignore:amplitude 0 gives an empty signal")
+@pytest.mark.parametrize("case", sorted(_CARRY_CASES))
+def test_carried_gradients_change_no_bit(monkeypatch, case):
+    cfg = ExperimentConfig(**{**_CARRY_BASE, **_CARRY_CASES[case]})
+    ids = ("oracle", "lasso", "slope")
+    carried = {t: empirical_risks(cfg, ids, threads=t) for t in (1, 2)}
+    monkeypatch.setattr(risk_mod, "lasso_fit", _direct_fit(risk_mod.lasso_fit))
+    monkeypatch.setattr(risk_mod, "slope_fit", _direct_fit(risk_mod.slope_fit))
+    direct = empirical_risks(cfg, ids, threads=1)
+    for est in ids:
+        assert direct[est].flagged == 0
+        for reports in carried.values():
+            assert reports[est].errors.tobytes() == direct[est].errors.tobytes()
+            assert np.array_equal(reports[est].flags, direct[est].flags)
+            assert reports[est].to_json() == direct[est].to_json()
+
+
+def test_sweep_makes_a_pinned_number_of_products(monkeypatch):
+    # per replicate: X'z and h = X'(X_S 1) once, then only the fits'
+    # certificates; the X'y of every amplitude, the Lasso's warm-start
+    # gradients and SLOPE's first outer products are carried (here 4, plus
+    # 26 certificates for 24 fits)
+    calls = []
+    real = _kernels.xt_dot
+
+    def counting(x, v):
+        calls.append(x.shape)
+        return real(x, v)
+
+    monkeypatch.setattr(_kernels, "xt_dot", counting)
+    cfg = ExperimentConfig(**_CARRY_BASE)
+    reports = empirical_risks(cfg, ("oracle", "lasso", "slope"), threads=1)
+    assert all(r.flagged == 0 for r in reports.values())
+    assert len(calls) == 30
