@@ -673,6 +673,9 @@ def run(argv) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 1
     except RuntimeError as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 2

@@ -42,11 +42,6 @@ def load_kv(path: str) -> dict[str, str]:
         return parse_kv_text(fh.read())
 
 
-def render_kv(mapping: dict[str, str]) -> str:
-    """Inverse of parse_kv_text, keys in sorted order for stable diffs."""
-    return "".join(f"{k} = {mapping[k]}\n" for k in sorted(mapping))
-
-
 def _coerce_int(key: str, value: str) -> int:
     try:
         return int(value)

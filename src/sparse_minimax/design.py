@@ -73,14 +73,6 @@ class Instance:
     signal: SparseSignal
     response: np.ndarray = field(repr=False)
 
-    def recompute_response(self) -> np.ndarray:
-        return _response(self.design, self.signal, self.noise.z)
-
-
-def _response(design: GaussianDesign, signal: SparseSignal, z: np.ndarray) -> np.ndarray:
-    y = design.entries[:, signal.support] @ signal.values
-    return y + z
-
 
 def gen_design(n: int, p: int, seed: SeedSpec) -> GaussianDesign:
     """Draw an n x p standard normal design, bit-identical for equal seeds.
@@ -130,7 +122,8 @@ def synthesize(
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     z = sigma * seed.generator(ROLE_NOISE).standard_normal(design.n) if sigma > 0 else np.zeros(design.n)
     noise = NoiseVector(z=z, sigma=float(sigma))
-    return Instance(design=design, noise=noise, signal=signal, response=_response(design, signal, z))
+    response = design.entries[:, signal.support] @ signal.values + z
+    return Instance(design=design, noise=noise, signal=signal, response=response)
 
 
 _DUMP_MAGIC = "sparse-minimax-instance-v1"

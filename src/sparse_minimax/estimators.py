@@ -576,7 +576,7 @@ def oracle_estimator(beta, X, z, lam: float, xtz=None) -> np.ndarray:
 
 
 def aggregated_estimate(
-    instance, k: int, eps: float, restarts: int = 64, seed=0, lam: float | None = None
+    instance, k: int, eps: float, restarts: int = 64, seed=0, lam: float | None = None, report=None
 ):
     """Lasso at level lambda_eps when the conditioning event holds, exact
     best-subset search otherwise.
@@ -587,14 +587,17 @@ def aggregated_estimate(
     event_a_check). Both branches are valid estimators either way, and the
     report records which test failed. ``lam`` overrides the Lasso level,
     for callers that set it from a reference scale instead of the
-    instance's own noise level.
+    instance's own noise level. ``report`` supplies the EventAReport of
+    this instance's design, for callers that already checked it with the
+    same k, eps, restarts and seed (e.g. once per design across signals).
     """
     from .diagnostics import event_a_check
 
     X = instance.design.entries
     y = instance.response
     n, p = X.shape
-    report = event_a_check(X, k, eps, restarts=restarts, seed=seed)
+    if report is None:
+        report = event_a_check(X, k, eps, restarts=restarts, seed=seed)
     if report.holds:
         if lam is None:
             sigma = instance.noise.sigma

@@ -314,10 +314,11 @@ def _replicate_errors(config: ExperimentConfig, ids, rep: int, lam: float, seq, 
 
     Pure function of (config, ids, rep): the design, noise, and any support
     draw all come from the replicate's own stream. The design is drawn once,
-    and its column norms, X'z and SLOPE's start step are computed once per
-    replicate; each depends only on the design and the noise, which every
-    amplitude shares (z is the noise role's slot 0, and the support role
-    redraws the same support).
+    and its column norms, X'z, SLOPE's start step and the aggregated
+    estimator's event check are computed once per replicate; each depends
+    only on the design and the noise, which every amplitude shares (z is
+    the noise role's slot 0, and the support role redraws the same
+    support).
 
     Every amplitude's response is y_a = X_S (a 1) + z on one support S, so
     with h = X'(X_S 1), taken once, X'y_a = X'z + a h, and the Lasso's and
@@ -336,6 +337,7 @@ def _replicate_errors(config: ExperimentConfig, ids, rep: int, lam: float, seq, 
     lip = _spectral_bound(X, col_sq) if "slope" in ids else None
     xtz = h = h_support = None
     coef_prev = None  # the signal value that the carried gradients belong to
+    event = None  # the aggregated estimator's event check, a function of the design alone
 
     errs = np.empty((len(ids), len(amps_abs)))
     flags = np.zeros((len(ids), len(amps_abs)), dtype=bool)
@@ -382,7 +384,7 @@ def _replicate_errors(config: ExperimentConfig, ids, rep: int, lam: float, seq, 
             elif est == "mle":
                 beta_hat = mle_best_subset(X, inst.response, config.k).beta_hat
             else:
-                res, _ = aggregated_estimate(inst, config.k, config.eps, seed=spec, lam=lam)
+                res, event = aggregated_estimate(inst, config.k, config.eps, seed=spec, lam=lam, report=event)
                 beta_hat = res.beta_hat
                 flags[e, a] = not res.converged
             diff = beta_hat - beta

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import betainc, erfc
 
 from .diagnostics import event_a_check
 from .estimators import _enum_count
@@ -24,6 +25,8 @@ from .events import resolvent_set
 from .rng import ROLE_CELL, SeedSpec
 
 _CHUNK_BUDGET = 1_000_000  # doubles per draw buffer (8 MB)
+_QUAD_INTERVALS = 1 << 16  # trapezoid intervals for the exact order-statistic mean
+_TAIL_CUT = 1e-12  # largest integrand mass left beyond that quadrature's cut
 
 
 @dataclass(frozen=True)
@@ -178,18 +181,44 @@ def _bound_order_mean(point):
     return math.sqrt(2.0 * math.log(2.0 * p / (k - 1)))
 
 
+def _order_stat_mean(p: int, k: int) -> tuple[float, float]:
+    """E[k-th largest |g| among p standard normals] by quadrature, and a
+    bound on the error of the returned value.
+
+    E = integral_0^inf P(X_(k) > x) dx, and X_(k) > x exactly when at least
+    k of the p values exceed x in modulus, so the integrand is
+    P(Bin(p, q) >= k) = I_q(k, p-k+1) with q = 2 Phi(-x) = erfc(x/sqrt 2).
+    The integral is cut at a = sqrt(2 log(p/_TAIL_CUT)). Past a the
+    integrand is at most p q, whose integral is at most 2 p phi(a)/a^2
+    (Mills' ratio), below _TAIL_CUT. On [0, a] the integrand is a survival
+    function, hence decreasing, so the left and right Riemann sums bracket
+    its integral; the trapezoid value is their mean and lies within half
+    their difference, h (f(0) - f(a)) / 2 <= h/2, of it.
+    """
+    a = math.sqrt(2.0 * math.log(p / _TAIL_CUT))
+    h = a / _QUAD_INTERVALS
+    f = betainc(k, p - k + 1, erfc(np.linspace(0.0, a, _QUAD_INTERVALS + 1) / math.sqrt(2.0)))
+    mean = h * (float(f.sum()) - 0.5 * float(f[0] + f[-1]))
+    tail = 2.0 * p * math.exp(-0.5 * a * a) / (math.sqrt(2.0 * math.pi) * a * a)
+    return mean, 0.5 * h * float(f[0] - f[-1]) + tail
+
+
 def _sim_order_conc(point, spec, reps, slot):
     p, k, u = point["p"], point["k"], point["u"]
-    gen_pilot = spec.generator(ROLE_CELL, slot + 1)
-    pilot = _chunked(gen_pilot, 100_000, p, lambda g: _kth_largest_abs(g, k))
-    mu_hat = float(pilot.mean())
-    pilot_stderr = float(pilot.std(ddof=1) / math.sqrt(pilot.size))
+    mu, mu_err = _order_stat_mean(p, k)
     gen = spec.generator(ROLE_CELL, slot)
     kth = _chunked(gen, reps, p, lambda g: _kth_largest_abs(g, k))
-    vals = (kth - mu_hat >= u).astype(float)
-    # the pilot's mean error shifts the event threshold; fold a generous
-    # multiple into the frequency slack
-    return vals, 10.0 * pilot_stderr
+    vals = (kth - mu >= u).astype(float)
+    # the mean's error moves the event threshold by at most mu_err; fold it
+    # into the frequency slack
+    return vals, mu_err
+
+
+def _bound_order_conc(point):
+    p, k = point["p"], point["k"]
+    if not 1 <= k <= p:
+        raise ValueError(f"need 1 <= k <= p, got k={k}, p={p}")
+    return math.exp(-point["u"] ** 2 / 2.0)
 
 
 def _sim_topk_avg(point, spec, reps, slot):
@@ -382,9 +411,9 @@ REGISTRY: dict[str, LemmaSpec] = {
     ),
     "order_conc": LemmaSpec(
         lemma_id="order_conc",
-        description="k-th largest |g| exceeding its (pilot-estimated) mean by u",
+        description="k-th largest |g| exceeding its exact mean (by quadrature) by u",
         simulate=_sim_order_conc,
-        bound=lambda point: math.exp(-point["u"] ** 2 / 2.0),
+        bound=_bound_order_conc,
         direction="freq_leq",
         default_grid=(
             {"p": 100, "k": 10, "u": 1.0},
@@ -489,8 +518,8 @@ def check_tail_bound(lemma_id: str, grid=None, reps: int = 10_000, seed: int = 0
     three binomial standard errors plus any sampler-reported term. Each
     grid cell draws from its own counter slot, so cells are independent
     and individually reproducible. Every grid point is checked against the
-    row's default points before any cell runs; a bad one, or an empty grid,
-    raises ValueError.
+    row's default points and by the row's bound before any cell runs; a
+    bad one, or an empty grid, raises ValueError.
     """
     if lemma_id not in REGISTRY:
         raise ValueError(f"unknown lemma_id {lemma_id!r}; registered: {sorted(REGISTRY)}")
@@ -502,11 +531,11 @@ def check_tail_bound(lemma_id: str, grid=None, reps: int = 10_000, seed: int = 0
         raise ValueError(f"{lemma_id}: grid must hold at least one point")
     for point in points:
         _check_point(lemma_id, row_spec.default_grid[0], point)
+    bounds = [float(row_spec.bound(point)) for point in points]
     spec = SeedSpec(seed)
 
     rows = []
-    for i, point in enumerate(points):
-        bound = float(row_spec.bound(point))
+    for i, (point, bound) in enumerate(zip(points, bounds)):
         vals, extra = row_spec.simulate(point, spec, reps, i * 16)
         if row_spec.direction == "mean_leq":
             emp = float(vals.mean())

@@ -101,6 +101,32 @@ def test_thread_count_never_changes_bytes(tmp_path):
         assert (one / name).read_bytes() == (eight / name).read_bytes()
 
 
+def test_aggregated_bytes_match_a_check_per_amplitude(tmp_path, monkeypatch):
+    # the sweep reuses each replicate's event report across amplitudes; a
+    # fresh check at every amplitude must give the same files
+    import sparse_minimax.risk as risk_mod
+
+    cfg = tmp_path / "risk.cfg"
+    cfg.write_text(RISK_CFG.replace("oracle", "aggregated"))
+    runs = {}
+    for threads in ("1", "2"):
+        runs[threads] = tmp_path / f"reused{threads}"
+        runs[threads].mkdir()
+        assert run(["simulate-risk", "--config", str(cfg), "--out", str(runs[threads]), "--threads", threads]) == 0
+    real = risk_mod.aggregated_estimate
+
+    def fresh_check(*args, report=None, **kw):
+        return real(*args, **kw)
+
+    monkeypatch.setattr(risk_mod, "aggregated_estimate", fresh_check)
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    assert run(["simulate-risk", "--config", str(cfg), "--out", str(fresh), "--threads", "1"]) == 0
+    for out in runs.values():
+        for name in ("risk_aggregated.csv", "risk_aggregated.tsv", "summary_aggregated.json"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+
 def test_replay_confirms_fresh_run(tmp_path, risk_config, capsys):
     _, out = _run_simulate(tmp_path, risk_config)
     assert run(["replay", str(out / "manifest.json")]) == 0
@@ -280,6 +306,19 @@ def test_missing_out_directory(tmp_path, risk_config, capsys):
     assert "does not exist" in capsys.readouterr().err
 
 
+def test_out_of_memory_is_an_error_line(monkeypatch, capsys):
+    import sparse_minimax.cli as cli_mod
+
+    def no_memory(n, p, seed):
+        raise MemoryError(f"Unable to allocate {8 * n * p / 2**30:.1f} GiB for an array with shape ({p}, {n})")
+
+    monkeypatch.setattr(cli_mod, "gen_design", no_memory)
+    argv = ["diagnose-design", "--n", "100000", "--p", "100000", "--k", "2", "--eps", "0.1"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 74.5 GiB for an array with shape (100000, 100000)\n"
+
+
 def test_unknown_flag_and_missing_subcommand(capsys):
     assert run(["simulate-risk", "--frobnicate"]) == 1
     assert run([]) == 1
@@ -305,13 +344,14 @@ from sparse_minimax.cli import run
 config, out = sys.argv[1:]
 assert run(["diagnose-design", "--n", "40", "--p", "30", "--k", "2", "--eps", "0.1", "--restarts", "2"]) in (0, 2)
 assert run(["sweep", "--config", config, "--estimators", "oracle,lasso,slope", "--out", out]) == 0
-print("loaded:" + ",".join(m for m in ("scipy.linalg", "scipy.optimize") if m in sys.modules))
+assert run(["check-lemma", "--lemma", "order_conc", "--reps", "100"]) == 0
+print("loaded:" + ",".join(m for m in ("scipy.linalg", "scipy.optimize", "scipy.integrate") if m in sys.modules))
 """
 
 
 def test_cli_paths_load_no_heavy_scipy_module(tmp_path):
-    # scipy.linalg and scipy.optimize cost 0.08-0.25 s to import, which a
-    # short command pays in full; the package needs neither
+    # scipy.linalg, scipy.optimize and scipy.integrate cost 0.08-0.33 s to
+    # import, which a short command pays in full; the package needs none
     import os
     import pathlib
     import subprocess

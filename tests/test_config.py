@@ -11,7 +11,6 @@ from sparse_minimax.config import (
     lemma_config_from_mapping,
     load_kv,
     parse_kv_text,
-    render_kv,
 )
 from sparse_minimax.estimators import LassoConfig, SlopeConfig
 from sparse_minimax.risk import ExperimentConfig
@@ -51,16 +50,6 @@ def test_parse_rejects_duplicate_keys():
 def test_parse_rejects_empty_key():
     with pytest.raises(ValueError, match="empty key"):
         parse_kv_text("= 3\n")
-
-
-def test_render_parse_round_trip():
-    mapping = {"b": "2", "a": "hello world", "c": "1.5, 2.5"}
-    assert parse_kv_text(render_kv(mapping)) == mapping
-
-
-def test_render_sorts_keys():
-    text = render_kv({"z": "1", "a": "2"})
-    assert text.index("a = 2") < text.index("z = 1")
 
 
 def test_load_kv(tmp_path):

@@ -424,6 +424,33 @@ def test_shared_replicate_loop_draws_each_design_once(monkeypatch):
         assert report.to_json() == alone.to_json()
 
 
+def test_aggregated_checks_the_event_once_per_replicate(monkeypatch):
+    import sparse_minimax.diagnostics as diag_mod
+
+    calls = []
+    real_check = diag_mod.event_a_check
+
+    def counting_check(*args, **kw):
+        calls.append(args[1:])
+        return real_check(*args, **kw)
+
+    monkeypatch.setattr(diag_mod, "event_a_check", counting_check)
+    cfg = ExperimentConfig(
+        n=60,
+        p=20,
+        k=2,
+        sigma=1.0,
+        eps=0.1,
+        estimator_id="aggregated",
+        amplitudes=(1.0, 3.0, 6.0),
+        reps=2,
+        master_seed=5,
+    )
+    report = empirical_risk(cfg, threads=1)
+    assert len(calls) == cfg.reps
+    assert report.flagged == 0
+
+
 def test_empirical_risks_validation():
     cfg = _oracle_config()
     with pytest.raises(ValueError, match="at least one"):

@@ -16,7 +16,9 @@ from sparse_minimax.estimators import CapacityError
 from sparse_minimax.tails import (
     REGISTRY,
     _chunked,
+    _kth_largest_abs,
     _median_ok,
+    _order_stat_mean,
     _top_abs,
     binom_bound_check,
     check_tail_bound,
@@ -89,6 +91,51 @@ def test_topk_bound_value():
 def test_gauss_sv_bound_value():
     bound = REGISTRY["gauss_sv"].bound({"N": 100, "n": 20, "t": 1.5})
     assert bound == pytest.approx(2.0 * math.exp(-1.125), rel=1e-14)
+
+
+def test_order_stat_mean_of_one_normal_is_exact():
+    mean, err = _order_stat_mean(1, 1)
+    assert err < 1e-4
+    assert abs(mean - math.sqrt(2.0 / math.pi)) <= err
+    # the stated bound only assumes a decreasing integrand; the trapezoid's
+    # own error here is its h^2 term, about 1e-9
+    assert mean == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-9)
+
+
+@pytest.mark.parametrize("p, k", sorted({(pt["p"], pt["k"]) for pt in REGISTRY["order_conc"].default_grid}))
+def test_order_stat_mean_matches_monte_carlo(p, k):
+    mean, err = _order_stat_mean(p, k)
+    kth = _chunked(np.random.default_rng(17), 20_000, p, lambda g: _kth_largest_abs(g, k))
+    stderr = float(kth.std(ddof=1)) / math.sqrt(kth.size)
+    assert abs(float(kth.mean()) - mean) <= 4.0 * stderr + err
+
+
+def test_order_conc_draws_once_per_cell(monkeypatch):
+    calls = []
+
+    def counting(gen, reps, width, f):
+        calls.append((reps, width))
+        return _chunked(gen, reps, width, f)
+
+    monkeypatch.setattr(tails, "_chunked", counting)
+    report = check_tail_bound("order_conc", reps=200, seed=1)
+    assert calls == [(200, pt["p"]) for pt in REGISTRY["order_conc"].default_grid]
+    assert report.passed
+
+
+def test_order_conc_accepts_k_equal_to_p():
+    # the k = p-th largest |g| is the smallest one
+    assert check_tail_bound("order_conc", grid=[{"p": 10, "k": 10, "u": 0.5}], reps=1000).passed
+
+
+@pytest.mark.parametrize("grid", [[{"p": 10, "k": 15, "u": 0.5}], [{"p": 10, "k": 5, "u": 0.5}, {"p": 10, "k": 15, "u": 0.5}]])
+def test_order_conc_rejects_k_above_p_before_any_cell(monkeypatch, grid):
+    def no_draws(*args):
+        raise AssertionError("a cell was simulated before the grid was checked")
+
+    monkeypatch.setitem(REGISTRY, "order_conc", dataclasses.replace(REGISTRY["order_conc"], simulate=no_draws))
+    with pytest.raises(ValueError, match=r"need 1 <= k <= p, got k=15, p=10"):
+        check_tail_bound("order_conc", grid=grid, reps=1000)
 
 
 def test_report_is_deterministic():
