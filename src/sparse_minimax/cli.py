@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -39,7 +40,7 @@ from .events import (
     stochastic_error_event_check,
     stochastic_u_samples,
 )
-from .risk import empirical_risk, empirical_risks, minimax_denominator, predicted_ratio
+from .risk import empirical_risk, empirical_risks, minimax_denominator, predicted_ratio, worker_count
 from .rng import ROLE_NOISE, SeedSpec
 from .tails import REGISTRY, check_tail_bound
 
@@ -276,15 +277,39 @@ def _fit_pair(settings: dict, inst, beta):
     return res, beta_o
 
 
+def _map_replicates(replicate, settings: dict, reps: int, seed: int) -> list:
+    """``[replicate(settings, seed, r) for r in range(reps)]``, on worker
+    threads.
+
+    Replicate r draws everything from stream r and returns only small
+    values, so the list does not depend on the thread count, and a worker
+    drops its n x p design before it draws the next one. The count is the
+    risk sweep's: SPARSE_MINIMAX_THREADS or the usable CPUs, capped by how
+    many designs fit in memory."""
+
+    def one(rep: int):
+        return replicate(settings, seed, rep)
+
+    threads = worker_count(worker_bytes=8 * settings["n"] * settings["p"])  # a float64 design each
+    if threads == 1 or reps == 1:
+        return list(map(one, range(reps)))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(one, range(reps)))
+
+
+def _gap_replicate(settings: dict, seed: int, rep: int):
+    """Replicate rep's resolvent report and oracle-Lasso gap check."""
+    _, inst, beta = _lemma_instance(settings, rep, seed)
+    res, beta_o = _fit_pair(settings, inst, beta)
+    rr = b_delta_check(inst, res.beta_hat, beta_o, settings["k_star"])
+    return rr, oracle_lasso_gap_check(beta, res.beta_hat, beta_o, rr)
+
+
 def _driver_gap(settings: dict, reps: int, seed: int) -> dict:
     contained = vacuous = violations = 0
     min_margin = math.inf
-    for rep in range(reps):
-        _, inst, beta = _lemma_instance(settings, rep, seed)
-        res, beta_o = _fit_pair(settings, inst, beta)
-        rr = b_delta_check(inst, res.beta_hat, beta_o, settings["k_star"])
+    for rr, gc in _map_replicates(_gap_replicate, settings, reps, seed):
         contained += rr.contains_all
-        gc = oracle_lasso_gap_check(beta, res.beta_hat, beta_o, rr)
         if gc.vacuous:
             vacuous += 1
             continue
@@ -307,10 +332,7 @@ def _driver_gap(settings: dict, reps: int, seed: int) -> dict:
 def _driver_resolvent(settings: dict, reps: int, seed: int) -> dict:
     contained = 0
     deltas = []
-    for rep in range(reps):
-        _, inst, beta = _lemma_instance(settings, rep, seed)
-        res, beta_o = _fit_pair(settings, inst, beta)
-        rr = b_delta_check(inst, res.beta_hat, beta_o, settings["k_star"])
+    for rr, _ in _map_replicates(_gap_replicate, settings, reps, seed):
         contained += rr.contains_all
         deltas.append(rr.delta_emp)
     rate = contained / reps
@@ -331,22 +353,26 @@ def _resolved_delta0(settings: dict) -> float:
     return delta_consts(settings["eps"])[0]
 
 
-def _driver_stochastic(settings: dict, reps: int, seed: int) -> dict:
+def _stochastic_replicate(settings: dict, seed: int, rep: int):
     params = StochasticErrorParams(
         _resolved_delta0(settings), settings["delta1"], settings["delta2"], settings["delta3"]
     )
     n, p, k, sigma = settings["n"], settings["p"], settings["k"], settings["sigma"]
+    spec = SeedSpec(seed, rep)
+    X = gen_design(n, p, spec).entries
+    z = sigma * spec.generator(ROLE_NOISE).standard_normal(n)
+    samples = stochastic_u_samples(X, z, k, settings["u_samples"], spec)
+    chk = stochastic_error_event_check(X, z, params, samples, k, sigma)
+    return chk.applicable, chk.all_hold
+
+
+def _driver_stochastic(settings: dict, reps: int, seed: int) -> dict:
     applicable = failures = 0
-    for rep in range(reps):
-        spec = SeedSpec(seed, rep)
-        X = gen_design(n, p, spec).entries
-        z = sigma * spec.generator(ROLE_NOISE).standard_normal(n)
-        samples = stochastic_u_samples(X, z, k, settings["u_samples"], spec)
-        chk = stochastic_error_event_check(X, z, params, samples, k, sigma)
-        if not chk.applicable:
+    for is_applicable, all_hold in _map_replicates(_stochastic_replicate, settings, reps, seed):
+        if not is_applicable:
             continue
         applicable += 1
-        failures += not chk.all_hold
+        failures += not all_hold
     level = settings["delta3"]
     slack = 3.0 * math.sqrt(level * (1.0 - level) / applicable) if applicable else 0.0
     rate = failures / applicable if applicable else math.nan
@@ -362,6 +388,19 @@ def _driver_stochastic(settings: dict, reps: int, seed: int) -> dict:
     }
 
 
+def _event_error_replicate(settings: dict, seed: int, rep: int):
+    """The Lasso's l2 error on replicate rep, or None off the conditioning
+    event (no fit is made there)."""
+    spec, inst, beta = _lemma_instance(settings, rep, seed)
+    holds = event_a_check(
+        inst.design.entries, settings["k"], settings["eps"], restarts=settings["restarts"], seed=spec
+    ).holds
+    if not holds:
+        return None
+    res, _ = _fit_pair(settings, inst, beta)
+    return float(np.linalg.norm(res.beta_hat - beta))
+
+
 def _driver_l2(settings: dict, reps: int, seed: int) -> dict:
     d0 = _resolved_delta0(settings)
     bound = lasso_l2_bound(
@@ -370,16 +409,10 @@ def _driver_l2(settings: dict, reps: int, seed: int) -> dict:
     )
     on_event = violations = 0
     worst = 0.0
-    for rep in range(reps):
-        spec, inst, beta = _lemma_instance(settings, rep, seed)
-        holds = event_a_check(
-            inst.design.entries, settings["k"], settings["eps"], restarts=settings["restarts"], seed=spec
-        ).holds
-        if not holds:
+    for err in _map_replicates(_event_error_replicate, settings, reps, seed):
+        if err is None:
             continue
         on_event += 1
-        res, _ = _fit_pair(settings, inst, beta)
-        err = float(np.linalg.norm(res.beta_hat - beta))
         worst = max(worst, err)
         violations += err > bound
     level = settings["delta3"]
@@ -408,16 +441,11 @@ def _driver_moments(settings: dict, reps: int, seed: int) -> dict:
     )
     vals = np.zeros(reps)
     on_event = 0
-    for rep in range(reps):
-        spec, inst, beta = _lemma_instance(settings, rep, seed)
-        holds = event_a_check(
-            inst.design.entries, settings["k"], settings["eps"], restarts=settings["restarts"], seed=spec
-        ).holds
-        if not holds:
+    for rep, err in enumerate(_map_replicates(_event_error_replicate, settings, reps, seed)):
+        if err is None:
             continue  # the moment carries the event indicator: off-event terms are 0
         on_event += 1
-        res, _ = _fit_pair(settings, inst, beta)
-        vals[rep] = float(np.linalg.norm(res.beta_hat - beta)) ** q
+        vals[rep] = err**q
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(reps)) if reps >= 2 else 0.0
     return {

@@ -90,9 +90,10 @@ def _memory_budget() -> int | None:
 def worker_count(requested: int | None = None, worker_bytes: int | None = None) -> int:
     """Thread count for replicate loops: SPARSE_MINIMAX_THREADS if set,
     otherwise ``requested``, otherwise the number of CPUs this process may
-    run on, capped by the cgroup CPU quota and, when each worker holds
-    ``worker_bytes`` (e.g. its own design), by how many such workers fit in
-    the memory budget (at least one). Results never depend on this."""
+    run on, capped by the cgroup CPU quota. When each worker holds
+    ``worker_bytes`` (e.g. its own design), every one of these is also
+    capped by how many such workers fit in the memory budget (at least
+    one). Results never depend on this."""
     raw = os.environ.get(_THREADS_ENV)
     if raw is not None:
         try:
@@ -101,18 +102,18 @@ def worker_count(requested: int | None = None, worker_bytes: int | None = None) 
             raise ValueError(f"{_THREADS_ENV} must be an integer, got {raw!r}") from None
         if count < 1:
             raise ValueError(f"{_THREADS_ENV} must be at least 1, got {raw}")
-        return count
-    if requested is not None:
+    elif requested is not None:
         if requested < 1:
             raise ValueError(f"threads must be at least 1, got {requested}")
-        return requested
-    if hasattr(os, "sched_getaffinity"):  # Linux: honours CPU affinity
-        count = len(os.sched_getaffinity(0))
+        count = requested
     else:
-        count = os.cpu_count() or 1
-    limit = _cgroup_cpu_limit()
-    if limit is not None:
-        count = min(count, limit)
+        if hasattr(os, "sched_getaffinity"):  # Linux: honours CPU affinity
+            count = len(os.sched_getaffinity(0))
+        else:
+            count = os.cpu_count() or 1
+        limit = _cgroup_cpu_limit()
+        if limit is not None:
+            count = min(count, limit)
     budget = _memory_budget() if worker_bytes else None
     if budget is not None:
         count = min(count, max(1, budget // worker_bytes))

@@ -22,9 +22,11 @@ from scipy.special import betainc, erfc
 from .diagnostics import event_a_check
 from .estimators import _enum_count
 from .events import resolvent_set
+from .risk import worker_count
 from .rng import ROLE_CELL, SeedSpec
 
 _CHUNK_BUDGET = 1_000_000  # doubles per draw buffer (8 MB)
+_SUBSTREAMS = 16  # counter slots per grid cell, one per range of its replicates
 _QUAD_INTERVALS = 1 << 16  # trapezoid intervals for the exact order-statistic mean
 _TAIL_CUT = 1e-12  # largest integrand mass left beyond that quadrature's cut
 
@@ -83,31 +85,41 @@ class TailReport:
         }
 
 
-def _chunked(gen: np.random.Generator, reps: int, width: int, f) -> np.ndarray:
-    """Apply f to (chunk, width) standard-normal blocks; the draw order is
-    row-major and sequential, so the result is chunking-invariant.
+def _chunked(spec: SeedSpec, slot: int, reps: int, width: int, f) -> np.ndarray:
+    """Apply f to (chunk, width) standard-normal blocks of ``reps`` rows.
 
-    f may overwrite its block. Blocks alternate between two buffers: the
-    calling thread draws the next block while one helper thread runs f on
-    the previous one (both release the GIL), and a buffer is refilled only
-    after f has returned on it.
+    The rows are split into _SUBSTREAMS fixed contiguous ranges, range j
+    holding rows reps*j//_SUBSTREAMS up to reps*(j+1)//_SUBSTREAMS, and
+    range j is drawn row-major from ``spec.generator(ROLE_CELL, slot + j)``.
+    Within a range the draws are sequential, so the result depends on
+    neither the chunk size nor the thread count.
+
+    The ranges run on up to _SUBSTREAMS worker threads, each with its own
+    buffer of at most _CHUNK_BUDGET doubles, allocated once here; a thread
+    draws a block into its buffer and runs f on it before drawing the next,
+    and f may overwrite the block.
     """
     out = np.empty(reps)
-    step = min(reps, max(1, _CHUNK_BUDGET // max(width, 1)))
-    buffers = (np.empty((step, width)), np.empty((step, width)))
+    edges = [reps * j // _SUBSTREAMS for j in range(_SUBSTREAMS + 1)]
+    step = min(-(-reps // _SUBSTREAMS), max(1, _CHUNK_BUDGET // max(width, 1)))  # a range has at most ceil(reps/16) rows
+    threads = min(worker_count(worker_bytes=8 * step * width), _SUBSTREAMS)
+    buffers = [np.empty((step, width)) for _ in range(threads)]
 
-    def stat(lo: int, block: np.ndarray) -> None:
-        out[lo : lo + block.shape[0]] = f(block)
+    def run(t: int) -> None:
+        buf = buffers[t]
+        for j in range(t, _SUBSTREAMS, threads):
+            gen = spec.generator(ROLE_CELL, slot + j)
+            for pos in range(edges[j], edges[j + 1], step):
+                block = buf[: min(step, edges[j + 1] - pos)]
+                gen.standard_normal(out=block)
+                out[pos : pos + block.shape[0]] = f(block)
 
-    with ThreadPoolExecutor(1) as pool:
-        pending = None
-        for i, pos in enumerate(range(0, reps, step)):
-            block = buffers[i % 2][: min(step, reps - pos)]
-            gen.standard_normal(out=block)
-            if pending is not None:
-                pending.result()
-            pending = pool.submit(stat, pos, block)
-        pending.result()
+    if threads == 1:
+        run(0)
+    else:
+        with ThreadPoolExecutor(threads) as pool:
+            for done in [pool.submit(run, t) for t in range(threads)]:
+                done.result()
     return out
 
 
@@ -146,9 +158,8 @@ def _median_ok(a: np.ndarray, head_levels: np.ndarray, tail_level: float) -> np.
 
 def _sim_chi2_lower(point, spec, reps, slot):
     d, tau = point["d"], point["tau"]
-    gen = spec.generator(ROLE_CELL, slot)
     level = d * (1.0 - tau)
-    vals = _chunked(gen, reps, d, lambda g: (np.multiply(g, g, out=g).sum(axis=1) < level).astype(float))
+    vals = _chunked(spec, slot, reps, d, lambda g: (np.multiply(g, g, out=g).sum(axis=1) < level).astype(float))
     return vals, 0.0
 
 
@@ -162,15 +173,13 @@ def _bound_chi2_lower(point):
 def _sim_gauss_max(point, spec, reps, slot):
     p, u = point["p"], point["u"]
     level = math.sqrt(2.0 * math.log(p)) + u
-    gen = spec.generator(ROLE_CELL, slot)
-    vals = _chunked(gen, reps, p, lambda g: (np.abs(g, out=g).max(axis=1) >= level).astype(float))
+    vals = _chunked(spec, slot, reps, p, lambda g: (np.abs(g, out=g).max(axis=1) >= level).astype(float))
     return vals, 0.0
 
 
 def _sim_order_mean(point, spec, reps, slot):
     p, k = point["p"], point["k"]
-    gen = spec.generator(ROLE_CELL, slot)
-    vals = _chunked(gen, reps, p, lambda g: _kth_largest_abs(g, k))
+    vals = _chunked(spec, slot, reps, p, lambda g: _kth_largest_abs(g, k))
     return vals, 0.0
 
 
@@ -206,8 +215,7 @@ def _order_stat_mean(p: int, k: int) -> tuple[float, float]:
 def _sim_order_conc(point, spec, reps, slot):
     p, k, u = point["p"], point["k"], point["u"]
     mu, mu_err = _order_stat_mean(p, k)
-    gen = spec.generator(ROLE_CELL, slot)
-    kth = _chunked(gen, reps, p, lambda g: _kth_largest_abs(g, k))
+    kth = _chunked(spec, slot, reps, p, lambda g: _kth_largest_abs(g, k))
     vals = (kth - mu >= u).astype(float)
     # the mean's error moves the event threshold by at most mu_err; fold it
     # into the frequency slack
@@ -224,14 +232,13 @@ def _bound_order_conc(point):
 def _sim_topk_avg(point, spec, reps, slot):
     p, s, t = point["p"], point["s"], point["t"]
     level = t * math.log(2.0 * p / s)
-    gen = spec.generator(ROLE_CELL, slot)
 
     def stat(g):
         np.multiply(g, g, out=g)
         g.partition(p - s, axis=1)
         return (g[:, p - s :].mean(axis=1) > level).astype(float)
 
-    vals = _chunked(gen, reps, p, stat)
+    vals = _chunked(spec, slot, reps, p, stat)
     return vals, 0.0
 
 
@@ -246,9 +253,7 @@ def _sim_median_event(point, spec, reps, slot):
     p, k, d1 = point["p"], point["k"], point["delta1"]
     head_levels = 4.0 * np.sqrt(np.log(2.0 * p / np.arange(1, k + 1)))
     tail_level = (1.0 + d1) * math.sqrt(2.0 * math.log(p / k))
-    gen = spec.generator(ROLE_CELL, slot)
-
-    vals = _chunked(gen, reps, p, lambda g: _median_ok(np.abs(g, out=g), head_levels, tail_level).astype(float))
+    vals = _chunked(spec, slot, reps, p, lambda g: _median_ok(np.abs(g, out=g), head_levels, tail_level).astype(float))
     return vals, 0.0
 
 
@@ -260,6 +265,13 @@ def _bound_median_event(point):
         raise ValueError(f"delta1 must be positive, got {d1}")
     gap = (1.0 + d1) * math.sqrt(2.0 * math.log(p / k)) - math.sqrt(2.0 * math.log(2.0 * p / k))
     return 1.0 - k / (2.0 * p) - math.exp(-0.5 * gap * gap)
+
+
+def _bound_gauss_sv(point):
+    big_n, n = point["N"], point["n"]
+    if n > big_n:
+        raise ValueError(f"need n <= N, got n={n}, N={big_n}")
+    return 2.0 * math.exp(-point["t"] ** 2 / 2.0)
 
 
 def _sim_gauss_sv(point, spec, reps, slot):
@@ -297,6 +309,9 @@ def _sim_resolvent_sv(point, spec, reps, slot):
 
 
 def _bound_resolvent_sv(point):
+    p, k, k_star = point["p"], point["k"], point["k_star"]
+    if not k < k_star < p:
+        raise ValueError(f"need k < k_star < p, got k={k}, k_star={k_star}, p={p}")
     n, t = point["n"], point["t"]
     return math.exp(-n * t * t / 2.0)
 
@@ -371,6 +386,13 @@ def _sim_sre_event(point, spec, reps, slot):
         report = event_a_check(X, k, eps, restarts=restarts, seed=sub)
         vals[r] = float(not report.holds)
     return vals, 0.0
+
+
+def _bound_sre_event(point):
+    p, k = point["p"], point["k"]
+    if not k < p:
+        raise ValueError(f"need k < p, got k={k}, p={p}")
+    return 0.05
 
 
 REGISTRY: dict[str, LemmaSpec] = {
@@ -448,7 +470,7 @@ REGISTRY: dict[str, LemmaSpec] = {
         lemma_id="gauss_sv",
         description="extreme singular values of an N x n Gaussian outside sqrt(N) -/+ sqrt(n) -/+ t",
         simulate=_sim_gauss_sv,
-        bound=lambda point: 2.0 * math.exp(-point["t"] ** 2 / 2.0),
+        bound=_bound_gauss_sv,
         direction="freq_leq",
         default_grid=(
             {"N": 100, "n": 20, "t": 1.5},
@@ -482,7 +504,7 @@ REGISTRY: dict[str, LemmaSpec] = {
         lemma_id="sre_event",
         description="conditioning event failing on a fresh Gaussian design",
         simulate=_sim_sre_event,
-        bound=lambda point: 0.05,
+        bound=_bound_sre_event,
         direction="freq_leq",
         default_grid=({"n": 1500, "p": 50, "k": 2, "eps": 2.0, "restarts": 8},),
         note="surrogate level: the reference statement has existential constants only; 0.05 is calibrated by pilot runs",
@@ -515,9 +537,11 @@ def check_tail_bound(lemma_id: str, grid=None, reps: int = 10_000, seed: int = 0
 
     Frequencies pass when empirical <= bound + slack (or >= bound - slack
     for lower bounds); means pass when mean + 3 stderr <= bound. Slack is
-    three binomial standard errors plus any sampler-reported term. Each
-    grid cell draws from its own counter slot, so cells are independent
-    and individually reproducible. Every grid point is checked against the
+    three binomial standard errors plus any sampler-reported term. Grid
+    cell i draws from its own counter slots 16i ... 16i+15 (see _chunked
+    for how a vector row uses them; a matrix row uses slot 16i), so cells
+    are independent and individually reproducible, and no report depends
+    on the thread count. Every grid point is checked against the
     row's default points and by the row's bound before any cell runs; a
     bad one, or an empty grid, raises ValueError.
     """
@@ -536,7 +560,7 @@ def check_tail_bound(lemma_id: str, grid=None, reps: int = 10_000, seed: int = 0
 
     rows = []
     for i, (point, bound) in enumerate(zip(points, bounds)):
-        vals, extra = row_spec.simulate(point, spec, reps, i * 16)
+        vals, extra = row_spec.simulate(point, spec, reps, i * _SUBSTREAMS)
         if row_spec.direction == "mean_leq":
             emp = float(vals.mean())
             slack = 3.0 * float(vals.std(ddof=1)) / math.sqrt(vals.size) + extra

@@ -9,24 +9,17 @@ starting to pass would itself fail the suite.
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sparse_minimax.cli import run
+from sparse_minimax.cli import _driver_gap, run
+from sparse_minimax.config import lemma_config_from_mapping
 from sparse_minimax.design import gen_design, make_signal, synthesize
 from sparse_minimax.diagnostics import event_a_check, sparse_min_eig
-from sparse_minimax.estimators import (
-    LassoConfig,
-    lambda_eps,
-    lasso_fit,
-    mle_best_subset,
-    oracle_estimator,
-)
-from sparse_minimax.events import b_delta_check, oracle_lasso_gap_check
+from sparse_minimax.estimators import mle_best_subset
 from sparse_minimax.risk import (
     ExperimentConfig,
     empirical_risks,
@@ -35,7 +28,6 @@ from sparse_minimax.risk import (
     slope_highprob_check,
     st_risk_bounds_check,
     st_risk_exact,
-    worker_count,
 )
 from sparse_minimax.rng import SeedSpec
 from sparse_minimax.tails import REGISTRY, binom_bound_check, check_tail_bound
@@ -135,31 +127,13 @@ def test_lasso_tracks_oracle(desk_reports, announce):
 
 
 def test_oracle_lasso_gap_at_scale(announce):
-    n, p, k, sigma, eps = DESK["n"], DESK["p"], DESK["k"], DESK["sigma"], DESK["eps"]
-    k_star = 2 * k
-    lam = lambda_eps(eps, sigma, n, p, k)
-    amp = 4.0 * sigma * math.sqrt(2.0 * math.log(p / k) / n)  # mid-sweep signal level
+    # the shipped check-lemma gap driver at the desk size, with a mid-sweep
+    # signal level (4 thresholds) and k* = 2k
+    mapping = {key: str(DESK[key]) for key in ("n", "p", "k", "sigma", "eps")}
+    settings = lemma_config_from_mapping(dict(mapping, amplitude="4.0", k_star=str(2 * DESK["k"])))
     reps = 100
-
-    def replicate(rep: int):
-        spec = SeedSpec(DESK["master_seed"], rep)
-        design = gen_design(n, p, spec)
-        signal = make_signal(p, k, amp, seed=spec)
-        inst = synthesize(design, signal, sigma, spec)
-        beta = signal.dense()
-        res = lasso_fit(design.entries, inst.response, LassoConfig(lam=lam))
-        beta_o = oracle_estimator(beta, design.entries, inst.noise.z, lam)
-        report = b_delta_check(inst, res.beta_hat, beta_o, k_star)
-        check = oracle_lasso_gap_check(beta, res.beta_hat, beta_o, report)
-        return report.contains_all, check.vacuous, check.holds
-
-    # each worker holds its own desk design; pool.map returns by index
-    with ThreadPoolExecutor(max_workers=worker_count(worker_bytes=8 * n * p)) as pool:
-        results = list(pool.map(replicate, range(reps)))
-    contained = sum(c for c, _, _ in results)
-    checked = sum(not v for _, v, _ in results)
-    violations = sum(not v and not h for _, v, h in results)
-    rate = contained / reps
+    report = _driver_gap(settings, reps, DESK["master_seed"])
+    checked, violations, rate = report["checked"], report["violations"], report["containment_rate"]
     ok = violations == 0 and checked > 0 and rate >= 0.90
     announce(
         "oracle-lasso-gap",

@@ -4,10 +4,14 @@ manifest integrity, and byte-exact replay."""
 import dataclasses
 import hashlib
 import json
+import threading
+import weakref
 
 import pytest
 
-from sparse_minimax.cli import _parse_grid_text, run
+from sparse_minimax import cli
+from sparse_minimax.cli import PROOF_LEMMAS, _parse_grid_text, _produce_check_proof, run
+from sparse_minimax.config import lemma_config_from_mapping
 from sparse_minimax.risk import worker_count
 from sparse_minimax.tails import REGISTRY
 
@@ -277,6 +281,59 @@ def test_check_lemma_proof_driver(tmp_path, capsys):
     assert report["violations"] == 0
     assert report["containment_rate"] == 1.0
     assert run(["replay", str(out / "manifest.json")]) == 0
+
+
+# 9 replicates of this size put 5 on the conditioning event, so every
+# driver's on-event and off-event branches run
+PROOF_SETTINGS = {"n": "260", "p": "20", "k": "2", "sigma": "1.0", "eps": "2.0", "u_samples": "8", "restarts": "2"}
+
+
+@pytest.mark.parametrize("lemma", PROOF_LEMMAS)
+def test_proof_driver_reports_do_not_depend_on_the_thread_count(monkeypatch, lemma):
+    drawn_on = []
+    real_gen_design = cli.gen_design
+
+    def recording(n, p, spec):
+        drawn_on.append(threading.get_ident())
+        return real_gen_design(n, p, spec)
+
+    monkeypatch.setattr(cli, "gen_design", recording)
+    config = {"lemma": lemma, "reps": 9, "seed": 3, "settings": lemma_config_from_mapping(PROOF_SETTINGS)}
+    files = {}
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("SPARSE_MINIMAX_THREADS", threads)
+        drawn_on.clear()
+        files[threads] = _produce_check_proof(config)
+        assert len(drawn_on) == 9
+        main = threading.get_ident()
+        assert set(drawn_on) == {main} if threads == "1" else main not in drawn_on
+    assert files["2"] == files["1"] and files["3"] == files["1"]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("lemma", PROOF_LEMMAS)
+def test_proof_driver_workers_drop_each_design_before_drawing_the_next(monkeypatch, lemma, threads):
+    # a replicate entering gen_design holds no design itself, so at most the
+    # other workers' designs, one each, are alive
+    designs = []
+    most_alive = []
+    lock = threading.Lock()
+    real_gen_design = cli.gen_design
+
+    def tracking(n, p, spec):
+        with lock:
+            most_alive.append(sum(ref() is not None for ref in designs))
+        design = real_gen_design(n, p, spec)
+        with lock:
+            designs.append(weakref.ref(design.entries))
+        return design
+
+    monkeypatch.setattr(cli, "gen_design", tracking)
+    monkeypatch.setenv("SPARSE_MINIMAX_THREADS", str(threads))
+    settings = lemma_config_from_mapping(PROOF_SETTINGS)
+    cli._PROOF_DRIVERS[lemma](settings, 9, 3)
+    assert len(designs) == 9
+    assert max(most_alive) <= threads - 1
 
 
 def test_check_lemma_proof_driver_needs_config(capsys):

@@ -375,9 +375,15 @@ def test_worker_count_honours_the_memory_budget(monkeypatch, files, expected):
     monkeypatch.setattr(risk_mod, "_read_cgroup_file", files.get)
     assert worker_count(worker_bytes=_GB) == expected
     assert worker_count() == 3  # no per-worker size, no memory cap
-    assert worker_count(7, worker_bytes=_GB) == 7  # an explicit request is not capped
+    # an explicit request is clamped to the designs that fit, and so is the
+    # environment; every budget here fits either fewer than 3 designs or
+    # more than 7
+    memory_cap = expected if expected < 3 else None
+    assert worker_count(7, worker_bytes=_GB) == (memory_cap or 7)
+    assert worker_count(7) == 7
     monkeypatch.setenv("SPARSE_MINIMAX_THREADS", "5")
-    assert worker_count(worker_bytes=_GB) == 5  # nor is the environment
+    assert worker_count(worker_bytes=_GB) == (memory_cap or 5)
+    assert worker_count() == 5
 
 
 def test_empirical_risks_sizes_workers_by_the_design(monkeypatch):

@@ -4,6 +4,7 @@ and the dual exact/brute route for the support-correlation statistic."""
 import dataclasses
 import math
 import sys
+import threading
 import time
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from sparse_minimax import tails
 from sparse_minimax.estimators import CapacityError
+from sparse_minimax.rng import ROLE_CELL, SeedSpec
 from sparse_minimax.tails import (
     REGISTRY,
     _chunked,
@@ -105,7 +107,7 @@ def test_order_stat_mean_of_one_normal_is_exact():
 @pytest.mark.parametrize("p, k", sorted({(pt["p"], pt["k"]) for pt in REGISTRY["order_conc"].default_grid}))
 def test_order_stat_mean_matches_monte_carlo(p, k):
     mean, err = _order_stat_mean(p, k)
-    kth = _chunked(np.random.default_rng(17), 20_000, p, lambda g: _kth_largest_abs(g, k))
+    kth = _chunked(SeedSpec(17), 0, 20_000, p, lambda g: _kth_largest_abs(g, k))
     stderr = float(kth.std(ddof=1)) / math.sqrt(kth.size)
     assert abs(float(kth.mean()) - mean) <= 4.0 * stderr + err
 
@@ -113,13 +115,13 @@ def test_order_stat_mean_matches_monte_carlo(p, k):
 def test_order_conc_draws_once_per_cell(monkeypatch):
     calls = []
 
-    def counting(gen, reps, width, f):
-        calls.append((reps, width))
-        return _chunked(gen, reps, width, f)
+    def counting(spec, slot, reps, width, f):
+        calls.append((slot, reps, width))
+        return _chunked(spec, slot, reps, width, f)
 
     monkeypatch.setattr(tails, "_chunked", counting)
     report = check_tail_bound("order_conc", reps=200, seed=1)
-    assert calls == [(200, pt["p"]) for pt in REGISTRY["order_conc"].default_grid]
+    assert calls == [(16 * i, 200, pt["p"]) for i, pt in enumerate(REGISTRY["order_conc"].default_grid)]
     assert report.passed
 
 
@@ -136,6 +138,40 @@ def test_order_conc_rejects_k_above_p_before_any_cell(monkeypatch, grid):
     monkeypatch.setitem(REGISTRY, "order_conc", dataclasses.replace(REGISTRY["order_conc"], simulate=no_draws))
     with pytest.raises(ValueError, match=r"need 1 <= k <= p, got k=15, p=10"):
         check_tail_bound("order_conc", grid=grid, reps=1000)
+
+
+@pytest.mark.parametrize(
+    "row, grid, message",
+    [
+        ("gauss_sv", [{"N": 100, "n": 20, "t": 1.5}, {"N": 10, "n": 20, "t": 1.0}], r"need n <= N, got n=20, N=10"),
+        (
+            "sre_event",
+            [{"n": 1500, "p": 50, "k": 2, "eps": 2.0, "restarts": 2}, {"n": 30, "p": 10, "k": 20, "eps": 2.0, "restarts": 2}],
+            r"need k < p, got k=20, p=10",
+        ),
+        (
+            "resolvent_sv",
+            [
+                {"n": 20, "p": 10, "k": 2, "k_star": 4, "t": 0.15, "sigma": 1.0},
+                {"n": 20, "p": 10, "k": 2, "k_star": 10, "t": 0.15, "sigma": 1.0},
+            ],
+            r"need k < k_star < p, got k=2, k_star=10, p=10",
+        ),
+        (
+            "resolvent_sv",
+            [{"n": 20, "p": 10, "k": 12, "k_star": 8, "t": 0.15, "sigma": 1.0}],
+            r"need k < k_star < p, got k=12, k_star=8, p=10",
+        ),
+    ],
+    ids=["gauss_sv-n-above-N", "sre_event-k-above-p", "resolvent_sv-k_star-at-p", "resolvent_sv-k-above-p"],
+)
+def test_matrix_rows_reject_points_outside_their_hypotheses_before_any_cell(monkeypatch, row, grid, message):
+    def no_draws(*args):
+        raise AssertionError("a cell was simulated before the grid was checked")
+
+    monkeypatch.setitem(REGISTRY, row, dataclasses.replace(REGISTRY[row], simulate=no_draws))
+    with pytest.raises(ValueError, match=message):
+        check_tail_bound(row, grid=grid, reps=100)
 
 
 def test_report_is_deterministic():
@@ -215,22 +251,58 @@ def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
         assert check_tail_bound(row, grid=grid, reps=reps, seed=4).to_json() == default[row].to_json(), row
 
 
-def test_chunked_waits_for_each_statistic_before_refilling(monkeypatch):
-    # a slow statistic that reads its block late sees the next draw if its
-    # buffer is refilled too early
+def _reference_draws(spec: SeedSpec, slot: int, reps: int, width: int) -> np.ndarray:
+    # range j of 16 holds rows reps*j//16 .. reps*(j+1)//16, drawn in one
+    # piece from slot + j
+    return np.concatenate(
+        [
+            spec.generator(ROLE_CELL, slot + j).standard_normal((reps * (j + 1) // 16 - reps * j // 16, width))
+            for j in range(16)
+        ]
+    )
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_chunked_draws_range_j_from_slot_plus_j(monkeypatch, threads):
+    monkeypatch.setenv("SPARSE_MINIMAX_THREADS", threads)
+    monkeypatch.setattr(tails, "_CHUNK_BUDGET", 40)  # five rows per block, several blocks per range
+    spec, slot, reps, width = SeedSpec(9), 32, 1003, 8
+    got = _chunked(spec, slot, reps, width, lambda block: block.sum(axis=1))
+    assert np.array_equal(got, _reference_draws(spec, slot, reps, width).sum(axis=1))
+
+
+def test_chunked_shares_no_buffer_between_threads(monkeypatch):
+    # a slow statistic that reads its block late sees another thread's draw
+    # if two threads share a buffer
+    owners = {}
+    lock = threading.Lock()
+
     def slow_row_sums(block):
+        with lock:
+            owners.setdefault(block.__array_interface__["data"][0], set()).add(threading.get_ident())
         time.sleep(0.002)
         return block.sum(axis=1)
 
+    monkeypatch.setenv("SPARSE_MINIMAX_THREADS", "4")
     monkeypatch.setattr(tails, "_CHUNK_BUDGET", 40)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = _chunked(np.random.default_rng(11), 103, 8, slow_row_sums)
+        got = _chunked(SeedSpec(11), 0, 103, 8, slow_row_sums)
     finally:
         sys.setswitchinterval(interval)
-    want = np.random.default_rng(11).standard_normal((103, 8)).sum(axis=1)
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, _reference_draws(SeedSpec(11), 0, 103, 8).sum(axis=1))
+    assert len(owners) == 4 and all(len(threads) == 1 for threads in owners.values())
+
+
+def test_vector_rows_do_not_depend_on_the_thread_count(monkeypatch):
+    reports = {}
+    for threads in ("1", "2", "3", "17"):
+        monkeypatch.setenv("SPARSE_MINIMAX_THREADS", threads)
+        reports[threads] = {
+            row: check_tail_bound(row, grid=grid, reps=1003, seed=4).to_json() for row, grid in SMALL_VECTOR_GRIDS.items()
+        }
+    assert reports["2"] == reports["1"] and reports["3"] == reports["1"] and reports["17"] == reports["1"]
 
 
 def test_median_shortcut_matches_the_sorted_route():
