@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -40,7 +39,7 @@ from .events import (
     stochastic_error_event_check,
     stochastic_u_samples,
 )
-from .risk import empirical_risk, empirical_risks, minimax_denominator, predicted_ratio, worker_count
+from .risk import empirical_risk, empirical_risks, map_indexed, minimax_denominator, predicted_ratio, worker_count
 from .rng import ROLE_NOISE, SeedSpec
 from .tails import REGISTRY, check_tail_bound
 
@@ -198,7 +197,7 @@ def _produce_sweep(config: dict, threads=None) -> tuple[dict[str, bytes], bool]:
 # --- diagnose-design ---------------------------------------------------------
 
 
-def _produce_diagnose(config: dict, threads=None) -> tuple[dict[str, bytes], bool]:
+def _produce_diagnose(config: dict) -> tuple[dict[str, bytes], bool]:
     spec = SeedSpec(config["seed"])
     design = gen_design(config["n"], config["p"], spec)
     report = event_a_check(design.entries, config["k"], config["eps"], restarts=config["restarts"], seed=spec)
@@ -241,7 +240,7 @@ def _parse_grid_text(text: str) -> list[dict]:
     return points
 
 
-def _produce_check_registry(config: dict, threads=None) -> tuple[dict[str, bytes], bool]:
+def _produce_check_registry(config: dict) -> tuple[dict[str, bytes], bool]:
     grid = config.get("grid")
     report = check_tail_bound(
         config["lemma"],
@@ -286,15 +285,8 @@ def _map_replicates(replicate, settings: dict, reps: int, seed: int) -> list:
     drops its n x p design before it draws the next one. The count is the
     risk sweep's: SPARSE_MINIMAX_THREADS or the usable CPUs, capped by how
     many designs fit in memory."""
-
-    def one(rep: int):
-        return replicate(settings, seed, rep)
-
     threads = worker_count(worker_bytes=8 * settings["n"] * settings["p"])  # a float64 design each
-    if threads == 1 or reps == 1:
-        return list(map(one, range(reps)))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(reps)))
+    return map_indexed(lambda rep: replicate(settings, seed, rep), reps, threads)
 
 
 def _gap_replicate(settings: dict, seed: int, rep: int):
@@ -469,7 +461,7 @@ _PROOF_DRIVERS = {
 }
 
 
-def _produce_check_proof(config: dict, threads=None) -> tuple[dict[str, bytes], bool]:
+def _produce_check_proof(config: dict) -> tuple[dict[str, bytes], bool]:
     result = _PROOF_DRIVERS[config["lemma"]](config["settings"], config["reps"], config["seed"])
     payload = {
         "subcommand": "check-lemma",

@@ -4,8 +4,6 @@ full regression instances for the model y = X beta + z.
 
 from __future__ import annotations
 
-import json
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -16,7 +14,7 @@ from .rng import ROLE_DESIGN, ROLE_NOISE, ROLE_SUPPORT, SeedSpec
 
 @dataclass(frozen=True)
 class GaussianDesign:
-    """An n x p matrix of i.i.d. N(0,1) entries plus the seed that made it.
+    """An n x p matrix of i.i.d. N(0,1) entries.
 
     `entries` is column-contiguous (Fortran order): the solvers walk columns.
     """
@@ -24,7 +22,6 @@ class GaussianDesign:
     n: int
     p: int
     entries: np.ndarray
-    seed: SeedSpec | None = None
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,7 @@ def gen_design(n: int, p: int, seed: SeedSpec) -> GaussianDesign:
     if n < 1 or p < 1:
         raise ValueError(f"design dimensions must be positive, got n={n}, p={p}")
     entries = seed.generator(ROLE_DESIGN).standard_normal((p, n)).T
-    return GaussianDesign(n=n, p=p, entries=entries, seed=seed)
+    return GaussianDesign(n=n, p=p, entries=entries)
 
 
 def make_signal(
@@ -125,58 +122,3 @@ def synthesize(
     response = design.entries[:, signal.support] @ signal.values + z
     return Instance(design=design, noise=noise, signal=signal, response=response)
 
-
-_DUMP_MAGIC = "sparse-minimax-instance-v1"
-
-
-def dump_instance(instance: Instance, path: str) -> None:
-    """Binary dump: one JSON header line, then float64 little-endian payloads of
-    X (row-major), z, beta (dense), y, in that order.
-    """
-    header = {
-        "format": _DUMP_MAGIC,
-        "n": instance.design.n,
-        "p": instance.design.p,
-        "sigma": instance.noise.sigma,
-    }
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header) + "\n").encode())
-        fh.write(np.ascontiguousarray(instance.design.entries, dtype="<f8").tobytes())
-        fh.write(np.asarray(instance.noise.z, dtype="<f8").tobytes())
-        fh.write(np.asarray(instance.signal.dense(), dtype="<f8").tobytes())
-        fh.write(np.asarray(instance.response, dtype="<f8").tobytes())
-
-
-def load_instance(path: str) -> Instance:
-    """Read a :func:`dump_instance` file. The header's n and p must be
-    positive integers and its sigma finite and nonnegative; each payload
-    must have exactly the length the header implies, nothing may follow y,
-    and every payload must be finite: a loaded file is the one way a design
-    enters from outside, and the solvers do not scan X."""
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        if header.get("format") != _DUMP_MAGIC:
-            raise ValueError(f"not an instance dump: {path}")
-        n, p, sigma = header.get("n"), header.get("p"), header.get("sigma")
-        for name, dim in (("n", n), ("p", p)):
-            if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-                raise ValueError(f"{path}: header {name} must be a positive integer, got {dim!r}")
-        if not isinstance(sigma, (int, float)) or isinstance(sigma, bool) or not (0 <= sigma < math.inf):
-            raise ValueError(f"{path}: header sigma must be finite and nonnegative, got {sigma!r}")
-        payloads = {}
-        for name, count in (("X", n * p), ("z", n), ("beta", p), ("y", n)):
-            raw = fh.read(8 * count)
-            if len(raw) != 8 * count:
-                raise ValueError(f"{path}: {name} payload has {len(raw)} bytes, expected {8 * count}")
-            payloads[name] = np.frombuffer(raw, dtype="<f8")
-        if fh.read(1):
-            raise ValueError(f"{path}: unexpected bytes after the y payload")
-    for name, payload in payloads.items():
-        if not np.all(np.isfinite(payload)):
-            raise ValueError(f"{path}: {name} must be finite")
-    x, beta = payloads["X"].reshape(n, p), payloads["beta"]
-    design = GaussianDesign(n=n, p=p, entries=np.asfortranarray(x), seed=None)
-    support = np.flatnonzero(beta).astype(np.intp)
-    signal = SparseSignal(p=p, support=support, values=beta[support].copy())
-    noise = NoiseVector(z=payloads["z"].copy(), sigma=float(sigma))
-    return Instance(design=design, noise=noise, signal=signal, response=payloads["y"].copy())

@@ -120,6 +120,21 @@ def worker_count(requested: int | None = None, worker_bytes: int | None = None) 
     return count
 
 
+def map_indexed(fn, count: int, workers: int) -> list:
+    """``[fn(i) for i in range(count)]``, in index order.
+
+    Runs on the calling thread with one worker or at most one item, and on
+    ``min(workers, count)`` pool threads otherwise. Every replicate loop in
+    the package goes through here; when fn(i) depends on i alone, as a
+    replicate drawing from its own stream does, the list does not depend
+    on ``workers``.
+    """
+    if workers == 1 or count <= 1:
+        return [fn(i) for i in range(count)]
+    with ThreadPoolExecutor(max_workers=min(workers, count)) as pool:
+        return list(pool.map(fn, range(count)))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A complete description of one risk experiment.
@@ -318,17 +333,17 @@ def _replicate_errors(config: ExperimentConfig, ids, rep: int, lam: float, seq, 
     and its column norms, X'z, SLOPE's start step and the aggregated
     estimator's event check are computed once per replicate; each depends
     only on the design and the noise, which every amplitude shares (z is
-    the noise role's slot 0, and the support role redraws the same
-    support).
+    the noise role's slot 0).
 
-    Every amplitude's response is y_a = X_S (a 1) + z on one support S, so
-    with h = X'(X_S 1), taken once, X'y_a = X'z + a h, and the Lasso's and
-    SLOPE's start gradients X'(y_a - X b) at the previous amplitude's
-    solution b are that fit's final ``gradient`` plus (a - a_prev) h. Both
-    fits take those as ``xty`` and ``g0`` instead of full-design products;
-    each still certifies its result on a direct product, and an amplitude
-    whose support is not h's gets direct products and starts the carry
-    afresh. Each estimator's bytes are as when it runs alone.
+    Every nonzero amplitude a has the same support S (``first_k``, or the
+    support role's slot 0 for ``random``), and amplitude 0 has y = z, so
+    y_a = a X_S 1 + z throughout. With h = X'(X_S 1), taken once at the
+    first nonzero amplitude, X'y_a = X'z + a h, and the Lasso's and SLOPE's
+    start gradients X'(y_a - X b) at the previous amplitude's solution b
+    are that fit's final ``gradient`` plus (a - a_prev) h. Both fits take
+    those as ``xty`` and ``g0`` instead of full-design products; each still
+    certifies its result on a direct product. Each estimator's bytes are as
+    when it runs alone.
     """
     spec = SeedSpec(config.master_seed, rep)
     design = gen_design(config.n, config.p, spec)
@@ -336,8 +351,7 @@ def _replicate_errors(config: ExperimentConfig, ids, rep: int, lam: float, seq, 
     iterative = "lasso" in ids or "slope" in ids  # the fits that use col_sq and X'y
     col_sq = _k.col_sumsq(X) if iterative else None
     lip = _spectral_bound(X, col_sq) if "slope" in ids else None
-    xtz = h = h_support = None
-    coef_prev = None  # the signal value that the carried gradients belong to
+    xtz = h = None
     event = None  # the aggregated estimator's event check, a function of the design alone
 
     errs = np.empty((len(ids), len(amps_abs)))
@@ -351,26 +365,18 @@ def _replicate_errors(config: ExperimentConfig, ids, rep: int, lam: float, seq, 
         if xtz is None and (iterative or "oracle" in ids):
             xtz = _k.xt_dot(X, inst.noise.z)
         if iterative:
-            support = signal.support
-            if support.size and h is None:
-                h_support = support
+            if amp and h is None:
+                support = signal.support
                 h = _k.xt_dot(X, _k.x_dot_sparse(X, support, np.ones(support.size)))
-            # amplitude 0 has an empty support and y = z
-            coef = amp if support.size == 0 or np.array_equal(support, h_support) else None
-            if coef is None:
-                xty = _k.xt_dot(X, inst.response)
-                shift = None
-            else:
-                xty = xtz + coef * h if coef else xtz
-                shift = None if coef_prev is None else coef - coef_prev
-            coef_prev = coef
+            xty = xtz + amp * h if amp else xtz
+            shift = amp - amps_abs[a - 1] if a else 0.0  # the first amplitude carries no gradient
         for e, est in enumerate(ids):
             if est == "oracle":
                 beta_hat = oracle_estimator(beta, X, inst.noise.z, lam, xtz=xtz)
             elif est in ("lasso", "slope"):
-                g0 = None
-                if grads[e] is not None and shift is not None:
-                    g0 = grads[e] + shift * h if shift else grads[e]
+                g0 = grads[e]
+                if g0 is not None and shift:
+                    g0 = g0 + shift * h
                 if est == "lasso":
                     res = lasso_fit(
                         X, inst.response, LassoConfig(lam=lam), b0=warm[e], col_sq=col_sq, xty=xty, g0=g0
@@ -464,17 +470,11 @@ def empirical_risks(config: ExperimentConfig, estimator_ids, threads: int | None
     flags = np.zeros(shape, dtype=bool)
 
     def run(rep: int):
-        return rep, *_replicate_errors(config, ids, rep, lam, seq, amps_abs)
+        return _replicate_errors(config, ids, rep, lam, seq, amps_abs)
 
-    if threads == 1 or config.reps == 1:
-        for rep, errs, flg in map(run, range(config.reps)):
-            errors[:, :, rep] = errs
-            flags[:, :, rep] = flg
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for rep, errs, flg in pool.map(run, range(config.reps)):
-                errors[:, :, rep] = errs
-                flags[:, :, rep] = flg
+    for rep, (errs, flg) in enumerate(map_indexed(run, config.reps, threads)):
+        errors[:, :, rep] = errs
+        flags[:, :, rep] = flg
 
     return {est: _risk_report(config, est, errors[e], flags[e]) for e, est in enumerate(ids)}
 

@@ -59,6 +59,3 @@ class SeedSpec:
             counter=[0, 0, slot, role], key=[self.master_seed, self.stream_id]
         )
         return np.random.Generator(bitgen)
-
-    def child(self, stream_id: int) -> "SeedSpec":
-        return SeedSpec(self.master_seed, stream_id)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,7 +21,7 @@ from scipy.special import betainc, erfc
 from .diagnostics import event_a_check
 from .estimators import _enum_count
 from .events import resolvent_set
-from .risk import worker_count
+from .risk import map_indexed, worker_count
 from .rng import ROLE_CELL, SeedSpec
 
 _CHUNK_BUDGET = 1_000_000  # doubles per draw buffer (8 MB)
@@ -114,13 +113,19 @@ def _chunked(spec: SeedSpec, slot: int, reps: int, width: int, f) -> np.ndarray:
                 gen.standard_normal(out=block)
                 out[pos : pos + block.shape[0]] = f(block)
 
-    if threads == 1:
-        run(0)
-    else:
-        with ThreadPoolExecutor(threads) as pool:
-            for done in [pool.submit(run, t) for t in range(threads)]:
-                done.result()
+    map_indexed(run, threads, threads)
     return out
+
+
+def _per_replicate(spec: SeedSpec, slot: int, reps: int, event) -> tuple[np.ndarray, float]:
+    """A matrix row's sample: the indicator ``event(gen, r)`` of each
+    replicate r in turn, every draw taken in order from one generator on
+    ``slot``, and no extra slack."""
+    gen = spec.generator(ROLE_CELL, slot)
+    vals = np.empty(reps)
+    for r in range(reps):
+        vals[r] = event(gen, r)
+    return vals, 0.0
 
 
 def _top_abs(block: np.ndarray, count: int) -> np.ndarray:
@@ -278,12 +283,12 @@ def _sim_gauss_sv(point, spec, reps, slot):
     big_n, n, t = point["N"], point["n"], point["t"]
     lo = math.sqrt(big_n) - math.sqrt(n) - t
     hi = math.sqrt(big_n) + math.sqrt(n) + t
-    gen = spec.generator(ROLE_CELL, slot)
-    vals = np.empty(reps)
-    for r in range(reps):
+
+    def event(gen, r):
         s = np.linalg.svd(gen.standard_normal((big_n, n)), compute_uv=False)
-        vals[r] = float(s[-1] < lo or s[0] > hi)
-    return vals, 0.0
+        return s[-1] < lo or s[0] > hi
+
+    return _per_replicate(spec, slot, reps, event)
 
 
 def _sim_resolvent_sv(point, spec, reps, slot):
@@ -296,16 +301,15 @@ def _sim_resolvent_sv(point, spec, reps, slot):
         point["sigma"],
     )
     level = math.sqrt(1.0 - 1.0 / n) - math.sqrt(k_star / n) - t
-    gen = spec.generator(ROLE_CELL, slot)
     support = np.arange(k)
-    vals = np.empty(reps)
-    for r in range(reps):
+
+    def event(gen, r):
         X = gen.standard_normal((n, p))
         z = sigma * gen.standard_normal(n)
         s_star = resolvent_set(X, z, support, k_star)
-        smin = np.linalg.svd(X[:, s_star], compute_uv=False)[-1] / math.sqrt(n)
-        vals[r] = float(smin <= level)
-    return vals, 0.0
+        return np.linalg.svd(X[:, s_star], compute_uv=False)[-1] / math.sqrt(n) <= level
+
+    return _per_replicate(spec, slot, reps, event)
 
 
 def _bound_resolvent_sv(point):
@@ -319,15 +323,12 @@ def _bound_resolvent_sv(point):
 def _sim_sup_xtz(point, spec, reps, slot):
     n, p, k_star, sigma = point["n"], point["p"], point["k_star"], point["sigma"]
     level = sigma * math.sqrt(32.0 * n * k_star * math.log(p / k_star))
-    gen = spec.generator(ROLE_CELL, slot)
-    vals = np.empty(reps)
-    for r in range(reps):
+
+    def event(gen, r):
         X = gen.standard_normal((n, p))
-        z = sigma * gen.standard_normal(n)
-        corr = X.T @ z
-        top = np.partition(corr * corr, p - k_star)[p - k_star :]
-        vals[r] = float(math.sqrt(float(top.sum())) > level)
-    return vals, 0.0
+        return sup_xtz_exact(X, sigma * gen.standard_normal(n), k_star) > level
+
+    return _per_replicate(spec, slot, reps, event)
 
 
 def _bound_sup_xtz(point):
@@ -378,14 +379,13 @@ def _sim_sre_event(point, spec, reps, slot):
         point["eps"],
         point["restarts"],
     )
-    gen = spec.generator(ROLE_CELL, slot)
-    vals = np.empty(reps)
-    for r in range(reps):
+
+    def event(gen, r):
         X = gen.standard_normal((n, p))
         sub = SeedSpec(spec.master_seed, (slot << 32) | (r + 1))
-        report = event_a_check(X, k, eps, restarts=restarts, seed=sub)
-        vals[r] = float(not report.holds)
-    return vals, 0.0
+        return not event_a_check(X, k, eps, restarts=restarts, seed=sub).holds
+
+    return _per_replicate(spec, slot, reps, event)
 
 
 def _bound_sre_event(point):
@@ -536,8 +536,10 @@ def check_tail_bound(lemma_id: str, grid=None, reps: int = 10_000, seed: int = 0
     """Run one registry row over its parameter grid.
 
     Frequencies pass when empirical <= bound + slack (or >= bound - slack
-    for lower bounds); means pass when mean + 3 stderr <= bound. Slack is
-    three binomial standard errors plus any sampler-reported term. Grid
+    for lower bounds); means pass when mean - slack <= bound, so only a
+    mean beyond the bound by more than its slack fails. Slack is three
+    standard errors (binomial for a frequency, the sample's for a mean)
+    plus any sampler-reported term. Grid
     cell i draws from its own counter slots 16i ... 16i+15 (see _chunked
     for how a vector row uses them; a matrix row uses slot 16i), so cells
     are independent and individually reproducible, and no report depends

@@ -1,17 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparse_minimax.design import (
-    dump_instance,
-    gen_design,
-    load_instance,
-    make_signal,
-    synthesize,
-)
+from sparse_minimax.design import gen_design, make_signal, synthesize
 from sparse_minimax.rng import SeedSpec
 
 
@@ -92,99 +84,6 @@ def test_noiseless_synthesis():
     inst = synthesize(design, sig, 0.0, spec)
     assert not inst.noise.z.any()
     assert np.allclose(inst.response, design.entries @ sig.dense())
-
-
-def test_instance_round_trip(tmp_path):
-    spec = SeedSpec(31, 7)
-    inst = synthesize(gen_design(18, 11, spec), make_signal(11, 3, 2.0, "random", spec), 0.5, spec)
-    path = tmp_path / "inst.bin"
-    dump_instance(inst, path)
-    back = load_instance(path)
-    assert np.array_equal(back.design.entries, inst.design.entries)
-    assert np.array_equal(back.noise.z, inst.noise.z)
-    assert back.noise.sigma == inst.noise.sigma
-    assert np.array_equal(back.signal.support, inst.signal.support)
-    assert np.array_equal(back.signal.values, inst.signal.values)
-    assert np.array_equal(back.response, inst.response)
-
-
-def test_dump_is_deterministic(tmp_path):
-    spec = SeedSpec(31, 7)
-    inst = synthesize(gen_design(10, 5, spec), make_signal(5, 2, 1.0), 1.0, spec)
-    p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-    dump_instance(inst, p1)
-    dump_instance(inst, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-@pytest.mark.parametrize("field", ["X", "z", "beta", "y"])
-def test_load_rejects_non_finite_payloads(tmp_path, field):
-    n, p = 9, 4
-    spec = SeedSpec(31, 7)
-    inst = synthesize(gen_design(n, p, spec), make_signal(p, 2, 1.0), 1.0, spec)
-    path = tmp_path / "inst.bin"
-    dump_instance(inst, path)
-    raw = bytearray(path.read_bytes())
-    header_end = raw.index(b"\n") + 1
-    start = {"X": 0, "z": n * p, "beta": n * p + n, "y": n * p + n + p}[field]
-    at = header_end + 8 * (start + 1)  # second entry of the payload
-    raw[at : at + 8] = np.array([np.nan], dtype="<f8").tobytes()
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
-        load_instance(path)
-
-
-def _dump(tmp_path, n=9, p=4):
-    spec = SeedSpec(31, 7)
-    inst = synthesize(gen_design(n, p, spec), make_signal(p, 2, 1.0), 1.0, spec)
-    path = tmp_path / "inst.bin"
-    dump_instance(inst, path)
-    return path
-
-
-def test_load_rejects_a_truncated_y(tmp_path):
-    path = _dump(tmp_path)
-    path.write_bytes(path.read_bytes()[:-16])  # y used to load with shape (7,)
-    with pytest.raises(ValueError, match="y payload has 56 bytes, expected 72"):
-        load_instance(path)
-
-
-def test_load_rejects_a_short_x(tmp_path):
-    path = _dump(tmp_path)
-    raw = path.read_bytes()
-    header_end = raw.index(b"\n") + 1
-    path.write_bytes(raw[: header_end + 8 * 30])
-    with pytest.raises(ValueError, match="X payload has 240 bytes, expected 288"):
-        load_instance(path)
-
-
-def test_load_rejects_a_trailing_byte(tmp_path):
-    path = _dump(tmp_path)
-    path.write_bytes(path.read_bytes() + b"\x00")
-    with pytest.raises(ValueError, match="after the y payload"):
-        load_instance(path)
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [("sigma", float("nan")), ("sigma", -1.0), ("sigma", "1"), ("n", 0), ("n", 9.0), ("p", True), ("p", None)],
-)
-def test_load_rejects_bad_headers(tmp_path, field, value):
-    path = _dump(tmp_path)
-    raw = path.read_bytes()
-    header_end = raw.index(b"\n") + 1
-    header = json.loads(raw[:header_end])
-    header[field] = value
-    path.write_bytes((json.dumps(header) + "\n").encode() + raw[header_end:])
-    with pytest.raises(ValueError, match=f"header {field} must be"):
-        load_instance(path)
-
-
-def test_load_rejects_foreign_files(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"not an instance payload")
-    with pytest.raises(ValueError):
-        load_instance(path)
 
 
 @settings(max_examples=30, deadline=None)

@@ -2,6 +2,7 @@
 predictions, and the replicate loop's exactness and determinism contracts."""
 
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -9,13 +10,15 @@ import pytest
 from scipy.integrate import quad
 
 import sparse_minimax.risk as risk_mod
-from sparse_minimax import _kernels
+from sparse_minimax import _kernels, cli, tails
+from sparse_minimax.config import lemma_config_from_mapping
 from sparse_minimax.design import gen_design, make_signal, synthesize
 from sparse_minimax.estimators import EstimatorResult, lambda_eps, mle_best_subset
 from sparse_minimax.risk import (
     ExperimentConfig,
     empirical_risk,
     empirical_risks,
+    map_indexed,
     minimax_denominator,
     mle_moment_estimate,
     oracle_risk_prediction,
@@ -384,6 +387,57 @@ def test_worker_count_honours_the_memory_budget(monkeypatch, files, expected):
     monkeypatch.setenv("SPARSE_MINIMAX_THREADS", "5")
     assert worker_count(worker_bytes=_GB) == (memory_cap or 5)
     assert worker_count() == 5
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_indexed_returns_results_in_index_order(workers):
+    # on a pool, item 0 waits until the last item has finished, so results
+    # complete out of order; the list must still follow the index
+    count = 7
+    last_done = threading.Event()
+    finished = []
+
+    def fn(i):
+        if i == 0 and workers > 1:
+            assert last_done.wait(timeout=30)
+        finished.append(i)
+        if i == count - 1:
+            last_done.set()
+        return i * i
+
+    assert map_indexed(fn, count, workers) == [i * i for i in range(count)]
+    assert finished[-1] == (0 if workers > 1 else count - 1)
+
+
+@pytest.mark.parametrize("count, workers", [(4, 1), (0, 3), (1, 3)])
+def test_map_indexed_runs_on_the_calling_thread_without_a_pool(monkeypatch, count, workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(risk_mod, "ThreadPoolExecutor", no_pool)
+    main = threading.get_ident()
+    assert map_indexed(lambda i: (i, threading.get_ident()), count, workers) == [(i, main) for i in range(count)]
+
+
+def test_every_replicate_loop_runs_through_map_indexed(monkeypatch):
+    callers = []
+    real = risk_mod.map_indexed
+
+    def spy(fn, count, workers):
+        callers.append(fn.__qualname__.split(".")[0])
+        return real(fn, count, workers)
+
+    for module in (risk_mod, cli, tails):
+        monkeypatch.setattr(module, "map_indexed", spy)
+    monkeypatch.setenv("SPARSE_MINIMAX_THREADS", "2")
+    cfg = ExperimentConfig(
+        n=30, p=50, k=2, sigma=1.0, eps=0.1, estimator_id="oracle", amplitudes=(1.0,), reps=2, master_seed=3
+    )
+    empirical_risks(cfg, ("oracle",))
+    settings = lemma_config_from_mapping({"n": "40", "p": "20", "k": "2", "sigma": "1.0", "eps": "0.1"})
+    cli._produce_check_proof({"lemma": "gap", "reps": 2, "seed": 3, "settings": settings})
+    tails.check_tail_bound("chi2_lower", grid=[{"d": 5, "tau": 0.5}], reps=100)
+    assert callers == ["empirical_risks", "_map_replicates", "_chunked"]
 
 
 def test_empirical_risks_sizes_workers_by_the_design(monkeypatch):
