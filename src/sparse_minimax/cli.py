@@ -21,6 +21,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
+from . import _kernels as _k
 from .config import (
     experiment_config_from_mapping,
     experiment_config_to_mapping,
@@ -39,7 +40,15 @@ from .events import (
     stochastic_error_event_check,
     stochastic_u_samples,
 )
-from .risk import empirical_risk, empirical_risks, map_indexed, minimax_denominator, predicted_ratio, worker_count
+from .risk import (
+    _memory_budget,
+    empirical_risk,
+    empirical_risks,
+    map_indexed,
+    minimax_denominator,
+    predicted_ratio,
+    worker_count,
+)
 from .rng import ROLE_NOISE, SeedSpec
 from .tails import REGISTRY, check_tail_bound
 
@@ -197,7 +206,21 @@ def _produce_sweep(config: dict, threads=None) -> tuple[dict[str, bytes], bool]:
 # --- diagnose-design ---------------------------------------------------------
 
 
+def _admit_diagnose(n: int, p: int) -> None:
+    """Refuse a design whose working set cannot fit before drawing it: the
+    n x p design plus, on the exact route, the Gram matrix and the copies
+    that ``eigvalsh`` and ``solve`` make of it."""
+    need = 8 * n * p + 3 * 8 * min(p, n + 1) ** 2
+    budget = _memory_budget()
+    if budget is not None and need > budget:
+        raise CapacityError(
+            f"diagnose-design at n={n}, p={p} needs about {need} bytes "
+            f"(the design, its Gram matrix and two copies of that), more than the {budget} bytes available"
+        )
+
+
 def _produce_diagnose(config: dict) -> tuple[dict[str, bytes], bool]:
+    _admit_diagnose(config["n"], config["p"])
     spec = SeedSpec(config["seed"])
     design = gen_design(config["n"], config["p"], spec)
     report = event_a_check(design.entries, config["k"], config["eps"], restarts=config["restarts"], seed=spec)
@@ -269,11 +292,8 @@ def _lemma_instance(settings: dict, rep: int, seed: int):
     return spec, inst, signal.dense()
 
 
-def _fit_pair(settings: dict, inst, beta):
-    lam = lambda_eps(settings["eps"], settings["sigma"], settings["n"], settings["p"], settings["k"])
-    res = lasso_fit(inst.design.entries, inst.response, LassoConfig(lam=lam))
-    beta_o = oracle_estimator(beta, inst.design.entries, inst.noise.z, lam)
-    return res, beta_o
+def _lasso_level(settings: dict) -> float:
+    return lambda_eps(settings["eps"], settings["sigma"], settings["n"], settings["p"], settings["k"])
 
 
 def _map_replicates(replicate, settings: dict, reps: int, seed: int) -> list:
@@ -292,8 +312,12 @@ def _map_replicates(replicate, settings: dict, reps: int, seed: int) -> list:
 def _gap_replicate(settings: dict, seed: int, rep: int):
     """Replicate rep's resolvent report and oracle-Lasso gap check."""
     _, inst, beta = _lemma_instance(settings, rep, seed)
-    res, beta_o = _fit_pair(settings, inst, beta)
-    rr = b_delta_check(inst, res.beta_hat, beta_o, settings["k_star"])
+    X, z = inst.design.entries, inst.noise.z
+    lam = _lasso_level(settings)
+    res = lasso_fit(X, inst.response, LassoConfig(lam=lam))
+    xtz = _k.xt_dot(X, z)  # one product for both the oracle and the resolvent set
+    beta_o = oracle_estimator(beta, X, z, lam, xtz=xtz)
+    rr = b_delta_check(inst, res.beta_hat, beta_o, settings["k_star"], xtz=xtz)
     return rr, oracle_lasso_gap_check(beta, res.beta_hat, beta_o, rr)
 
 
@@ -389,7 +413,7 @@ def _event_error_replicate(settings: dict, seed: int, rep: int):
     ).holds
     if not holds:
         return None
-    res, _ = _fit_pair(settings, inst, beta)
+    res = lasso_fit(inst.design.entries, inst.response, LassoConfig(lam=_lasso_level(settings)))
     return float(np.linalg.norm(res.beta_hat - beta))
 
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import _kernels as _k
+from ._special import norm_ppf
 
 
 class CapacityError(RuntimeError):
@@ -301,7 +301,7 @@ def slope_lambda_seq(eps: float, sigma: float, n: int, p: int, q: float) -> np.n
     if n < 1 or p < 1:
         raise ValueError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
     i = np.arange(1, p + 1, dtype=np.float64)
-    return sigma * (1.0 + eps) / math.sqrt(n) * ndtri(1.0 - i * q / (2.0 * p))
+    return sigma * (1.0 + eps) / math.sqrt(n) * norm_ppf(1.0 - i * q / (2.0 * p))
 
 
 def prox_sorted_l1(v, lambda_seq) -> np.ndarray:

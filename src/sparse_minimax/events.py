@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
+from .estimators import _design_vector
 from .rng import ROLE_PROBE, SeedSpec
 
 
@@ -97,10 +98,10 @@ class GapCheck:
         }
 
 
-def resolvent_set(X, z, S, k_star: int) -> np.ndarray:
+def resolvent_set(X, z, S, k_star: int, xtz=None) -> np.ndarray:
     """S together with the k*-|S| columns outside S most correlated with
     z, measured by |X_i'z|; ties go to the smaller index. Returns the
-    sorted union."""
+    sorted union. ``xtz`` supplies X'z when the caller already has it."""
     X = np.asfortranarray(X, dtype=np.float64)
     z = np.ascontiguousarray(z, dtype=np.float64)
     n, p = X.shape
@@ -114,7 +115,7 @@ def resolvent_set(X, z, S, k_star: int) -> np.ndarray:
     if k_star >= p:
         raise ValueError(f"k_star must be smaller than p={p}, got {k_star}")
 
-    score = np.abs(_k.xt_dot(X, z))
+    score = np.abs(_k.xt_dot(X, z) if xtz is None else _design_vector(xtz, p, "xtz"))
     ranked = np.lexsort((np.arange(p), -score))
     outside = ranked[~np.isin(ranked, base)]
     extra = outside[: k_star - base.size]
@@ -129,12 +130,13 @@ def _spectral_gram_deviation(X: np.ndarray, idx: np.ndarray) -> float:
     return float(max(abs(eigs[0]), abs(eigs[-1])))
 
 
-def b_delta_check(instance, beta_L, beta_O, k_star: int) -> ResolventReport:
+def b_delta_check(instance, beta_L, beta_O, k_star: int, xtz=None) -> ResolventReport:
     """Build the resolvent set from the instance's own noise and check that
     the truth, the Lasso fit, and the oracle fit are all supported inside
-    it; delta_emp is the spectral norm of X_{S*}'X_{S*}/n - I."""
+    it; delta_emp is the spectral norm of X_{S*}'X_{S*}/n - I. ``xtz``
+    supplies X'z for the instance's noise z, as in ``resolvent_set``."""
     X = instance.design.entries
-    s_star = resolvent_set(X, instance.noise.z, instance.signal.support, k_star)
+    s_star = resolvent_set(X, instance.noise.z, instance.signal.support, k_star, xtz=xtz)
     members = set(int(i) for i in s_star)
     supports = np.concatenate(
         [

@@ -14,9 +14,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import _kernels as _k
+from ._special import norm_cdf
 from .design import gen_design, make_signal, synthesize
 from .estimators import (
     LassoConfig,
@@ -253,7 +253,7 @@ def st_risk_exact(mu: float, tau: float) -> float:
     """
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    a = float(ndtr(tau - mu) - ndtr(-tau - mu))
+    a = norm_cdf(tau - mu) - norm_cdf(-tau - mu)
     return (
         1.0
         + tau * tau

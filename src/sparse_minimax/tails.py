@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import betainc, erfc
 
+from ._special import binom_tail, binom_tail_error, erfc_grid
 from .diagnostics import event_a_check
 from .estimators import _enum_count
 from .events import resolvent_set
@@ -201,20 +201,30 @@ def _order_stat_mean(p: int, k: int) -> tuple[float, float]:
 
     E = integral_0^inf P(X_(k) > x) dx, and X_(k) > x exactly when at least
     k of the p values exceed x in modulus, so the integrand is
-    P(Bin(p, q) >= k) = I_q(k, p-k+1) with q = 2 Phi(-x) = erfc(x/sqrt 2).
-    The integral is cut at a = sqrt(2 log(p/_TAIL_CUT)). Past a the
+    P(Bin(p, q) >= k) with q = 2 Phi(-x) = erfc(x/sqrt 2). The tail is
+    ``_special.binom_tail``: each point's largest term in log space, then
+    a recurrence over the smaller side of the binomial, one pass over the
+    grid per term, with at most max(k, p-k+1) terms and O(sqrt(p)) where
+    k is near the mode pq. The integral is cut at
+    a = sqrt(2 log(p/_TAIL_CUT)). Past a the
     integrand is at most p q, whose integral is at most 2 p phi(a)/a^2
     (Mills' ratio), below _TAIL_CUT. On [0, a] the integrand is a survival
     function, hence decreasing, so the left and right Riemann sums bracket
     its integral; the trapezoid value is their mean and lies within half
-    their difference, h (f(0) - f(a)) / 2 <= h/2, of it.
+    their difference, h (f(0) - f(a)) / 2 <= h/2, of it. The integrand's
+    evaluation error adds at most a times its per-point bound: the tail's
+    own, ``binom_tail_error(p)``, plus k (3 a^2 + 4) eps from q, whose
+    relative error is under (3 a^2 + 4) eps after erfc's conditioning
+    (below a^2 + 1 on [0, a]) and to which the tail's sensitivity,
+    q d/dq P(Bin(p, q) >= k) = k P(Bin(p, q) = k), is at most k.
     """
     a = math.sqrt(2.0 * math.log(p / _TAIL_CUT))
     h = a / _QUAD_INTERVALS
-    f = betainc(k, p - k + 1, erfc(np.linspace(0.0, a, _QUAD_INTERVALS + 1) / math.sqrt(2.0)))
+    f = binom_tail(p, k, erfc_grid(np.linspace(0.0, a, _QUAD_INTERVALS + 1) / math.sqrt(2.0)))
     mean = h * (float(f.sum()) - 0.5 * float(f[0] + f[-1]))
     tail = 2.0 * p * math.exp(-0.5 * a * a) / (math.sqrt(2.0 * math.pi) * a * a)
-    return mean, 0.5 * h * float(f[0] - f[-1]) + tail
+    evaluation = a * (binom_tail_error(p) + k * (3.0 * a * a + 4.0) * math.ulp(1.0))
+    return mean, 0.5 * h * float(f[0] - f[-1]) + tail + evaluation
 
 
 def _sim_order_conc(point, spec, reps, slot):

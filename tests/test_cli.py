@@ -9,7 +9,7 @@ import weakref
 
 import pytest
 
-from sparse_minimax import cli
+from sparse_minimax import _kernels, cli
 from sparse_minimax.cli import PROOF_LEMMAS, _parse_grid_text, _produce_check_proof, run
 from sparse_minimax.config import lemma_config_from_mapping
 from sparse_minimax.risk import worker_count
@@ -370,10 +370,46 @@ def test_out_of_memory_is_an_error_line(monkeypatch, capsys):
         raise MemoryError(f"Unable to allocate {8 * n * p / 2**30:.1f} GiB for an array with shape ({p}, {n})")
 
     monkeypatch.setattr(cli_mod, "gen_design", no_memory)
+    monkeypatch.setattr(cli_mod, "_memory_budget", lambda: None)  # unknown budget: admission lets it through
     argv = ["diagnose-design", "--n", "100000", "--p", "100000", "--k", "2", "--eps", "0.1"]
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err == "error: out of memory: Unable to allocate 74.5 GiB for an array with shape (100000, 100000)\n"
+
+
+@pytest.mark.parametrize("n, p, need", [(4000, 2000, 8 * 4000 * 2000 + 24 * 2000**2), (100, 300, 8 * 100 * 300 + 24 * 101**2)])
+def test_diagnose_design_is_refused_before_the_draw_when_it_cannot_fit(monkeypatch, capsys, n, p, need):
+    drawn = []
+    monkeypatch.setattr(cli, "gen_design", lambda *args: drawn.append(args))
+    monkeypatch.setattr(cli, "_memory_budget", lambda: need - 1)
+    assert run(["diagnose-design", "--n", str(n), "--p", str(p), "--k", "2", "--eps", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: diagnose-design") and "Traceback" not in err
+    assert f"n={n}, p={p}" in err and f"needs about {need} bytes" in err and f"the {need - 1} bytes" in err
+    assert drawn == []
+
+
+def test_gap_replicate_makes_one_design_product_for_the_oracle_and_the_resolvent_set(monkeypatch):
+    # per replicate: the Lasso's own products, then one X'z shared by the
+    # oracle and the resolvent set; the l2 drivers fit no oracle
+    calls = []
+    real = _kernels.xt_dot
+
+    def counting(x, v):
+        calls.append(x.shape)
+        return real(x, v)
+
+    monkeypatch.setattr(_kernels, "xt_dot", counting)
+    settings = lemma_config_from_mapping(PROOF_SETTINGS)
+    per_replicate = []
+    for rep in range(4):
+        calls.clear()
+        cli._gap_replicate(settings, 3, rep)
+        per_replicate.append(len(calls))
+    assert per_replicate == [3, 4, 3, 3]
+    calls.clear()
+    cli._PROOF_DRIVERS["l2-bound"](settings, 4, 3)
+    assert len(calls) == 4
 
 
 def test_unknown_flag_and_missing_subcommand(capsys):
@@ -398,17 +434,18 @@ import sys
 import sparse_minimax
 from sparse_minimax.cli import run
 
-config, out = sys.argv[1:]
+config, lemma_config, out = sys.argv[1:]
 assert run(["diagnose-design", "--n", "40", "--p", "30", "--k", "2", "--eps", "0.1", "--restarts", "2"]) in (0, 2)
 assert run(["sweep", "--config", config, "--estimators", "oracle,lasso,slope", "--out", out]) == 0
 assert run(["check-lemma", "--lemma", "order_conc", "--reps", "100"]) == 0
-print("loaded:" + ",".join(m for m in ("scipy.linalg", "scipy.optimize", "scipy.integrate") if m in sys.modules))
+assert run(["check-lemma", "--lemma", "gap", "--config", lemma_config, "--reps", "2"]) == 0
+assert run(["check-lemma", "--lemma", "resolvent_sv", "--reps", "100"]) == 0
+assert run(["check-lemma", "--lemma", "sre_event", "--reps", "100"]) == 0
+print("loaded:" + ",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def test_cli_paths_load_no_heavy_scipy_module(tmp_path):
-    # scipy.linalg, scipy.optimize and scipy.integrate cost 0.08-0.33 s to
-    # import, which a short command pays in full; the package needs none
+def _probe(code, *args):
     import os
     import pathlib
     import subprocess
@@ -416,20 +453,34 @@ def test_cli_paths_load_no_heavy_scipy_module(tmp_path):
 
     import sparse_minimax
 
-    config = tmp_path / "tiny.cfg"
-    config.write_text(RISK_CFG.replace("n = 30", "n = 60").replace("p = 12", "p = 120"))
-    out = tmp_path / "sweep"
-    out.mkdir()
     src = str(pathlib.Path(sparse_minimax.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", SETUP_PROBE, str(config), str(out)],
+        [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "loaded:"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_cli_paths_load_no_heavy_scipy_module(tmp_path):
+    # importing scipy.special alone costs 0.2-0.35 s of every command's
+    # start-up; the package's special functions are numpy and math only, so
+    # no CLI path loads any part of scipy
+    config = tmp_path / "tiny.cfg"
+    config.write_text(RISK_CFG.replace("n = 30", "n = 60").replace("p = 12", "p = 120"))
+    lemma_config = tmp_path / "lemma.cfg"
+    lemma_config.write_text(LEMMA_CFG)
+    out = tmp_path / "sweep"
+    out.mkdir()
+    assert _probe(SETUP_PROBE, str(config), str(lemma_config), str(out)) == "loaded:"
+
+
+def test_package_import_loads_no_scipy_module():
+    code = 'import sys, sparse_minimax; print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))'
+    assert _probe(code) == "[]"
 
 
 def test_console_script_is_installed():
