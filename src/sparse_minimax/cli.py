@@ -134,7 +134,7 @@ def _format_risk(cfg, report) -> tuple[dict[str, bytes], dict]:
     lines = ["amplitude,replicate,sq_error,estimator,seed"]
     for a, amp in enumerate(amps_abs):
         for rep in range(cfg.reps):
-            lines.append(f"{amp!r},{rep},{report.errors[a, rep]!r},{est},{cfg.master_seed}")
+            lines.append(f"{amp!r},{rep},{float(report.errors[a, rep])!r},{est},{cfg.master_seed}")
     csv_data = ("\n".join(lines) + "\n").encode()
 
     tsv_lines = ["amplitude\tmean\tstderr"]
@@ -261,23 +261,6 @@ def _parse_grid_text(text: str) -> list[dict]:
     if not points:
         raise ValueError("grid file holds no points")
     return points
-
-
-def _produce_check_registry(config: dict) -> tuple[dict[str, bytes], bool]:
-    grid = config.get("grid")
-    report = check_tail_bound(
-        config["lemma"],
-        grid=None if grid is None else [dict(pt) for pt in grid],
-        reps=config["reps"],
-        seed=config["seed"],
-    )
-    payload = {
-        "subcommand": "check-lemma",
-        "manifest": _MANIFEST_NAME,
-        "config": config,
-        "report": report.to_json(),
-    }
-    return {f"lemma_{config['lemma']}.json": _json_bytes(payload)}, report.passed
 
 
 # --- check-lemma: proof-lemma drivers ----------------------------------------
@@ -485,23 +468,29 @@ _PROOF_DRIVERS = {
 }
 
 
-def _produce_check_proof(config: dict) -> tuple[dict[str, bytes], bool]:
-    result = _PROOF_DRIVERS[config["lemma"]](config["settings"], config["reps"], config["seed"])
+def _produce_check_lemma(config: dict) -> tuple[dict[str, bytes], bool]:
+    """A proof-lemma driver's result, or a tail-registry row's report."""
+    lemma = config["lemma"]
+    if lemma in _PROOF_DRIVERS:
+        report = _PROOF_DRIVERS[lemma](config["settings"], config["reps"], config["seed"])
+        passed = bool(report["passed"])
+    else:
+        tail = check_tail_bound(lemma, grid=config.get("grid"), reps=config["reps"], seed=config["seed"])
+        report, passed = tail.to_json(), tail.passed
     payload = {
         "subcommand": "check-lemma",
         "manifest": _MANIFEST_NAME,
         "config": config,
-        "report": result,
+        "report": report,
     }
-    return {f"lemma_{config['lemma']}.json": _json_bytes(payload)}, bool(result["passed"])
+    return {f"lemma_{lemma}.json": _json_bytes(payload)}, passed
 
 
 _PRODUCERS = {
     "simulate-risk": _produce_simulate_risk,
     "sweep": _produce_sweep,
     "diagnose-design": _produce_diagnose,
-    "check-lemma-registry": _produce_check_registry,
-    "check-lemma-proof": _produce_check_proof,
+    "check-lemma": _produce_check_lemma,
 }
 
 
@@ -574,20 +563,21 @@ def _cmd_check_lemma(args) -> int:
             raise _UsageError(f"--lemma {args.lemma} needs --config with the instance settings")
         settings = lemma_config_from_mapping(load_kv(args.config))
         config = {"lemma": args.lemma, "reps": args.reps, "seed": args.seed, "settings": settings}
-        started = _utc_now()
-        files, passed = _produce_check_proof(config)
-        payload = json.loads(files[f"lemma_{args.lemma}.json"])
-        print(json.dumps(payload["report"], sort_keys=True, indent=2))
     elif args.lemma in REGISTRY:
         grid = None
         if args.grid is not None:
             with open(args.grid, encoding="utf-8") as fh:
                 grid = _parse_grid_text(fh.read())
         config = {"lemma": args.lemma, "reps": args.reps, "seed": args.seed, "grid": grid}
-        started = _utc_now()
-        files, passed = _produce_check_registry(config)
-        payload = json.loads(files[f"lemma_{args.lemma}.json"])
-        rep = payload["report"]
+    else:
+        known = ", ".join(list(_PROOF_DRIVERS) + sorted(REGISTRY))
+        raise _UsageError(f"unknown lemma {args.lemma!r}; known: {known}")
+    started = _utc_now()
+    files, passed = _produce_check_lemma(config)
+    rep = json.loads(files[f"lemma_{args.lemma}.json"])["report"]
+    if args.lemma in _PROOF_DRIVERS:
+        print(json.dumps(rep, sort_keys=True, indent=2))
+    else:
         lines = [f"lemma {rep['lemma_id']}  reps={rep['reps']}  seed={rep['seed']}"]
         if rep["note"]:
             lines.append(f"  note: {rep['note']}")
@@ -601,9 +591,6 @@ def _cmd_check_lemma(args) -> int:
         n_pass = sum(r["passed"] for r in rep["rows"])
         lines.append(f"{'PASS' if rep['passed'] else 'FAIL'} ({n_pass}/{len(rep['rows'])} grid points)")
         print("\n".join(lines))
-    else:
-        known = ", ".join(list(_PROOF_DRIVERS) + sorted(REGISTRY))
-        raise _UsageError(f"unknown lemma {args.lemma!r}; known: {known}")
     if args.out is not None:
         _require_out_dir(args.out)
         _write_run(args.out, "check-lemma", config, files, started, args.seed)
@@ -627,10 +614,7 @@ def _cmd_replay(args) -> int:
         )
 
     subcommand = manifest["subcommand"]
-    key = subcommand
-    if subcommand == "check-lemma":
-        key = "check-lemma-proof" if manifest["config"]["lemma"] in _PROOF_DRIVERS else "check-lemma-registry"
-    producer = _PRODUCERS.get(key)
+    producer = _PRODUCERS.get(subcommand)
     if producer is None:
         raise _UsageError(f"manifest names unknown subcommand {subcommand!r}")
 

@@ -47,9 +47,8 @@ class SeedSpec:
         increments only touch the bottom words. Slots index repeated draws
         of the same kind inside one stream (descent restarts, probe
         directions, grid cells). A tail-registry grid cell i owns the 16
-        slots 16i ... 16i+15: a vector row draws the j-th of 16 fixed
-        ranges of its replicates from slot 16i+j, and a matrix row draws
-        every replicate from slot 16i.
+        slots 16i ... 16i+15, one per fixed range of its replicates; the
+        rule is stated once, in ``tails._chunked``.
         """
         if not (0 <= role < _U64):
             raise ValueError(f"role must be an unsigned 64-bit int, got {role}")

@@ -6,6 +6,12 @@ theorems, so a failure beyond slack is a build-breaking bug rather than
 bad luck. The one exception is sre_event, whose reference statement has
 existential constants only; its level is a calibrated surrogate and the
 row says so.
+
+Every row, vector or matrix, draws through one sampler, _chunked: one
+replicate is one row of standard normals (a matrix row reshapes its row
+into a design, and a noise vector where it has one), grid cell i draws
+from its own 16 counter slots by the rule stated there, and the draws run
+on worker threads without changing any report.
 """
 
 from __future__ import annotations
@@ -19,9 +25,9 @@ import numpy as np
 
 from ._special import binom_tail, binom_tail_error, erfc_grid
 from .diagnostics import event_a_check
-from .estimators import _enum_count
+from .estimators import CapacityError, _enum_count
 from .events import resolvent_set
-from .risk import map_indexed, worker_count
+from .risk import _memory_budget, map_indexed, worker_count
 from .rng import ROLE_CELL, SeedSpec
 
 _CHUNK_BUDGET = 1_000_000  # doubles per draw buffer (8 MB)
@@ -85,23 +91,36 @@ class TailReport:
 
 
 def _chunked(spec: SeedSpec, slot: int, reps: int, width: int, f) -> np.ndarray:
-    """Apply f to (chunk, width) standard-normal blocks of ``reps`` rows.
+    """The registry's one sampler: ``f(block, first)`` applied to
+    (chunk, width) standard-normal blocks of ``reps`` rows, where ``first``
+    is the index of the block's first row and each row is one replicate.
 
-    The rows are split into _SUBSTREAMS fixed contiguous ranges, range j
-    holding rows reps*j//_SUBSTREAMS up to reps*(j+1)//_SUBSTREAMS, and
-    range j is drawn row-major from ``spec.generator(ROLE_CELL, slot + j)``.
-    Within a range the draws are sequential, so the result depends on
-    neither the chunk size nor the thread count.
+    Grid cell i owns the counter slots 16i ... 16i+15 and passes
+    ``slot = 16i``. The rows are split into _SUBSTREAMS fixed contiguous
+    ranges, range j holding rows reps*j//_SUBSTREAMS up to
+    reps*(j+1)//_SUBSTREAMS, and range j is drawn row-major from
+    ``spec.generator(ROLE_CELL, slot + j)``. Within a range the draws are
+    sequential, so the result depends on neither the chunk size nor the
+    thread count.
 
     The ranges run on up to _SUBSTREAMS worker threads, each with its own
-    buffer of at most _CHUNK_BUDGET doubles, allocated once here; a thread
-    draws a block into its buffer and runs f on it before drawing the next,
-    and f may overwrite the block.
+    buffer of at most _CHUNK_BUDGET doubles (one row if a row is wider),
+    allocated once here; a thread draws a block into its buffer and runs f
+    on it before drawing the next, and f may overwrite the block. Before
+    anything is allocated or drawn, the results and the buffers are
+    checked against the memory budget; CapacityError if they do not fit.
     """
-    out = np.empty(reps)
     edges = [reps * j // _SUBSTREAMS for j in range(_SUBSTREAMS + 1)]
     step = min(-(-reps // _SUBSTREAMS), max(1, _CHUNK_BUDGET // max(width, 1)))  # a range has at most ceil(reps/16) rows
     threads = min(worker_count(worker_bytes=8 * step * width), _SUBSTREAMS)
+    need = 8 * reps + threads * 8 * step * width
+    budget = _memory_budget()
+    if budget is not None and need > budget:
+        raise CapacityError(
+            f"a tail-registry cell of reps={reps} rows of width {width} needs about {need} bytes "
+            f"(its results and {threads} draw buffers), more than the {budget} bytes available"
+        )
+    out = np.empty(reps)
     buffers = [np.empty((step, width)) for _ in range(threads)]
 
     def run(t: int) -> None:
@@ -111,21 +130,10 @@ def _chunked(spec: SeedSpec, slot: int, reps: int, width: int, f) -> np.ndarray:
             for pos in range(edges[j], edges[j + 1], step):
                 block = buf[: min(step, edges[j + 1] - pos)]
                 gen.standard_normal(out=block)
-                out[pos : pos + block.shape[0]] = f(block)
+                out[pos : pos + block.shape[0]] = f(block, pos)
 
     map_indexed(run, threads, threads)
     return out
-
-
-def _per_replicate(spec: SeedSpec, slot: int, reps: int, event) -> tuple[np.ndarray, float]:
-    """A matrix row's sample: the indicator ``event(gen, r)`` of each
-    replicate r in turn, every draw taken in order from one generator on
-    ``slot``, and no extra slack."""
-    gen = spec.generator(ROLE_CELL, slot)
-    vals = np.empty(reps)
-    for r in range(reps):
-        vals[r] = event(gen, r)
-    return vals, 0.0
 
 
 def _top_abs(block: np.ndarray, count: int) -> np.ndarray:
@@ -164,7 +172,7 @@ def _median_ok(a: np.ndarray, head_levels: np.ndarray, tail_level: float) -> np.
 def _sim_chi2_lower(point, spec, reps, slot):
     d, tau = point["d"], point["tau"]
     level = d * (1.0 - tau)
-    vals = _chunked(spec, slot, reps, d, lambda g: (np.multiply(g, g, out=g).sum(axis=1) < level).astype(float))
+    vals = _chunked(spec, slot, reps, d, lambda g, _: (np.multiply(g, g, out=g).sum(axis=1) < level).astype(float))
     return vals, 0.0
 
 
@@ -178,13 +186,13 @@ def _bound_chi2_lower(point):
 def _sim_gauss_max(point, spec, reps, slot):
     p, u = point["p"], point["u"]
     level = math.sqrt(2.0 * math.log(p)) + u
-    vals = _chunked(spec, slot, reps, p, lambda g: (np.abs(g, out=g).max(axis=1) >= level).astype(float))
+    vals = _chunked(spec, slot, reps, p, lambda g, _: (np.abs(g, out=g).max(axis=1) >= level).astype(float))
     return vals, 0.0
 
 
 def _sim_order_mean(point, spec, reps, slot):
     p, k = point["p"], point["k"]
-    vals = _chunked(spec, slot, reps, p, lambda g: _kth_largest_abs(g, k))
+    vals = _chunked(spec, slot, reps, p, lambda g, _: _kth_largest_abs(g, k))
     return vals, 0.0
 
 
@@ -230,7 +238,7 @@ def _order_stat_mean(p: int, k: int) -> tuple[float, float]:
 def _sim_order_conc(point, spec, reps, slot):
     p, k, u = point["p"], point["k"], point["u"]
     mu, mu_err = _order_stat_mean(p, k)
-    kth = _chunked(spec, slot, reps, p, lambda g: _kth_largest_abs(g, k))
+    kth = _chunked(spec, slot, reps, p, lambda g, _: _kth_largest_abs(g, k))
     vals = (kth - mu >= u).astype(float)
     # the mean's error moves the event threshold by at most mu_err; fold it
     # into the frequency slack
@@ -248,7 +256,7 @@ def _sim_topk_avg(point, spec, reps, slot):
     p, s, t = point["p"], point["s"], point["t"]
     level = t * math.log(2.0 * p / s)
 
-    def stat(g):
+    def stat(g, _):
         np.multiply(g, g, out=g)
         g.partition(p - s, axis=1)
         return (g[:, p - s :].mean(axis=1) > level).astype(float)
@@ -268,7 +276,7 @@ def _sim_median_event(point, spec, reps, slot):
     p, k, d1 = point["p"], point["k"], point["delta1"]
     head_levels = 4.0 * np.sqrt(np.log(2.0 * p / np.arange(1, k + 1)))
     tail_level = (1.0 + d1) * math.sqrt(2.0 * math.log(p / k))
-    vals = _chunked(spec, slot, reps, p, lambda g: _median_ok(np.abs(g, out=g), head_levels, tail_level).astype(float))
+    vals = _chunked(spec, slot, reps, p, lambda g, _: _median_ok(np.abs(g, out=g), head_levels, tail_level).astype(float))
     return vals, 0.0
 
 
@@ -294,11 +302,11 @@ def _sim_gauss_sv(point, spec, reps, slot):
     lo = math.sqrt(big_n) - math.sqrt(n) - t
     hi = math.sqrt(big_n) + math.sqrt(n) + t
 
-    def event(gen, r):
-        s = np.linalg.svd(gen.standard_normal((big_n, n)), compute_uv=False)
-        return s[-1] < lo or s[0] > hi
+    def stat(block, _):
+        s = np.linalg.svd(block.reshape(-1, big_n, n), compute_uv=False)
+        return (s[:, -1] < lo) | (s[:, 0] > hi)
 
-    return _per_replicate(spec, slot, reps, event)
+    return _chunked(spec, slot, reps, big_n * n, stat), 0.0
 
 
 def _sim_resolvent_sv(point, spec, reps, slot):
@@ -313,13 +321,12 @@ def _sim_resolvent_sv(point, spec, reps, slot):
     level = math.sqrt(1.0 - 1.0 / n) - math.sqrt(k_star / n) - t
     support = np.arange(k)
 
-    def event(gen, r):
-        X = gen.standard_normal((n, p))
-        z = sigma * gen.standard_normal(n)
-        s_star = resolvent_set(X, z, support, k_star)
+    def event(row):
+        X = row[: n * p].reshape(n, p)  # a replicate draws X row-major, then z
+        s_star = resolvent_set(X, sigma * row[n * p :], support, k_star)
         return np.linalg.svd(X[:, s_star], compute_uv=False)[-1] / math.sqrt(n) <= level
 
-    return _per_replicate(spec, slot, reps, event)
+    return _chunked(spec, slot, reps, n * p + n, lambda block, _: [event(row) for row in block]), 0.0
 
 
 def _bound_resolvent_sv(point):
@@ -334,11 +341,10 @@ def _sim_sup_xtz(point, spec, reps, slot):
     n, p, k_star, sigma = point["n"], point["p"], point["k_star"], point["sigma"]
     level = sigma * math.sqrt(32.0 * n * k_star * math.log(p / k_star))
 
-    def event(gen, r):
-        X = gen.standard_normal((n, p))
-        return sup_xtz_exact(X, sigma * gen.standard_normal(n), k_star) > level
+    def event(row):
+        return sup_xtz_exact(row[: n * p].reshape(n, p), sigma * row[n * p :], k_star) > level
 
-    return _per_replicate(spec, slot, reps, event)
+    return _chunked(spec, slot, reps, n * p + n, lambda block, _: [event(row) for row in block]), 0.0
 
 
 def _bound_sup_xtz(point):
@@ -390,12 +396,15 @@ def _sim_sre_event(point, spec, reps, slot):
         point["restarts"],
     )
 
-    def event(gen, r):
-        X = gen.standard_normal((n, p))
+    def event(row, r):
+        # replicate r's descent restarts draw from their own stream
         sub = SeedSpec(spec.master_seed, (slot << 32) | (r + 1))
-        return not event_a_check(X, k, eps, restarts=restarts, seed=sub).holds
+        return not event_a_check(row.reshape(n, p), k, eps, restarts=restarts, seed=sub).holds
 
-    return _per_replicate(spec, slot, reps, event)
+    def stat(block, first):
+        return [event(row, first + i) for i, row in enumerate(block)]
+
+    return _chunked(spec, slot, reps, n * p, stat), 0.0
 
 
 def _bound_sre_event(point):
@@ -549,13 +558,14 @@ def check_tail_bound(lemma_id: str, grid=None, reps: int = 10_000, seed: int = 0
     for lower bounds); means pass when mean - slack <= bound, so only a
     mean beyond the bound by more than its slack fails. Slack is three
     standard errors (binomial for a frequency, the sample's for a mean)
-    plus any sampler-reported term. Grid
-    cell i draws from its own counter slots 16i ... 16i+15 (see _chunked
-    for how a vector row uses them; a matrix row uses slot 16i), so cells
-    are independent and individually reproducible, and no report depends
-    on the thread count. Every grid point is checked against the
-    row's default points and by the row's bound before any cell runs; a
-    bad one, or an empty grid, raises ValueError.
+    plus any sampler-reported term. Every row draws through _chunked, so
+    grid cell i draws from its own counter slots 16i ... 16i+15 by the
+    rule stated there: cells are independent and individually
+    reproducible, no report depends on the thread count, and a cell whose
+    draws cannot fit in memory raises CapacityError before it draws. Every
+    grid point is checked against the row's default points and by the
+    row's bound before any cell runs; a bad one, or an empty grid, raises
+    ValueError.
     """
     if lemma_id not in REGISTRY:
         raise ValueError(f"unknown lemma_id {lemma_id!r}; registered: {sorted(REGISTRY)}")

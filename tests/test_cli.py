@@ -9,8 +9,8 @@ import weakref
 
 import pytest
 
-from sparse_minimax import _kernels, cli
-from sparse_minimax.cli import PROOF_LEMMAS, _parse_grid_text, _produce_check_proof, run
+from sparse_minimax import _kernels, cli, tails
+from sparse_minimax.cli import PROOF_LEMMAS, _parse_grid_text, _produce_check_lemma, run
 from sparse_minimax.config import lemma_config_from_mapping
 from sparse_minimax.risk import worker_count
 from sparse_minimax.tails import REGISTRY
@@ -195,6 +195,18 @@ def test_sweep_shares_seeds_across_estimators(tmp_path, risk_config, capsys):
     assert run(["replay", str(out / "manifest.json")]) == 0
 
 
+def test_sweep_csvs_hold_plain_numbers(tmp_path, risk_config):
+    # each squared error is written as the shortest repr of a Python float
+    out = tmp_path / "sweep"
+    out.mkdir()
+    assert run(["sweep", "--config", risk_config, "--estimators", "oracle,lasso,slope", "--out", str(out)]) == 0
+    for est in ("oracle", "lasso", "slope"):
+        lines = (out / f"risk_{est}.csv").read_text().splitlines()
+        errors = [line.split(",")[2] for line in lines[1:]]
+        assert len(errors) == 2 * 3
+        assert all(repr(float(field)) == field for field in errors), errors
+
+
 GOOD_DESIGN = ["--n", "1500", "--p", "50", "--k", "2", "--eps", "2.0", "--restarts", "8"]
 
 
@@ -303,7 +315,7 @@ def test_proof_driver_reports_do_not_depend_on_the_thread_count(monkeypatch, lem
     for threads in ("1", "2", "3"):
         monkeypatch.setenv("SPARSE_MINIMAX_THREADS", threads)
         drawn_on.clear()
-        files[threads] = _produce_check_proof(config)
+        files[threads] = _produce_check_lemma(config)
         assert len(drawn_on) == 9
         main = threading.get_ident()
         assert set(drawn_on) == {main} if threads == "1" else main not in drawn_on
@@ -386,6 +398,25 @@ def test_diagnose_design_is_refused_before_the_draw_when_it_cannot_fit(monkeypat
     err = capsys.readouterr().err
     assert err.startswith("error: diagnose-design") and "Traceback" not in err
     assert f"n={n}, p={p}" in err and f"needs about {need} bytes" in err and f"the {need - 1} bytes" in err
+    assert drawn == []
+
+
+@pytest.mark.parametrize(
+    "lemma, reps, need",
+    [
+        ("gauss_sv", 1000, 8 * 1000 + 8 * 63 * 100 * 20),  # one buffer of ceil(1000/16) rows of N*n
+        ("chi2_lower", 10**11, 8 * 10**11 + 8 * 10**6),  # the buffer is capped at 10^6 doubles
+    ],
+)
+def test_registry_row_is_refused_before_any_draw_when_it_cannot_fit(monkeypatch, capsys, lemma, reps, need):
+    drawn = []
+    monkeypatch.setenv("SPARSE_MINIMAX_THREADS", "1")
+    monkeypatch.setattr(tails.SeedSpec, "generator", lambda *args: drawn.append(args))
+    monkeypatch.setattr(tails, "_memory_budget", lambda: need - 1)
+    assert run(["check-lemma", "--lemma", lemma, "--reps", str(reps)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a tail-registry cell of ") and "Traceback" not in err
+    assert f"reps={reps} " in err and f"needs about {need} bytes" in err and f"the {need - 1} bytes" in err
     assert drawn == []
 
 

@@ -435,7 +435,7 @@ def test_every_replicate_loop_runs_through_map_indexed(monkeypatch):
     )
     empirical_risks(cfg, ("oracle",))
     settings = lemma_config_from_mapping({"n": "40", "p": "20", "k": "2", "sigma": "1.0", "eps": "0.1"})
-    cli._produce_check_proof({"lemma": "gap", "reps": 2, "seed": 3, "settings": settings})
+    cli._produce_check_lemma({"lemma": "gap", "reps": 2, "seed": 3, "settings": settings})
     tails.check_tail_bound("chi2_lower", grid=[{"d": 5, "tau": 0.5}], reps=100)
     assert callers == ["empirical_risks", "_map_replicates", "_chunked"]
 

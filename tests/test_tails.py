@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparse_minimax import tails
+from sparse_minimax.events import resolvent_set
 from sparse_minimax.estimators import CapacityError
 from sparse_minimax.rng import ROLE_CELL, SeedSpec
 from sparse_minimax.tails import (
@@ -107,7 +108,7 @@ def test_order_stat_mean_of_one_normal_is_exact():
 @pytest.mark.parametrize("p, k", sorted({(pt["p"], pt["k"]) for pt in REGISTRY["order_conc"].default_grid}))
 def test_order_stat_mean_matches_monte_carlo(p, k):
     mean, err = _order_stat_mean(p, k)
-    kth = _chunked(SeedSpec(17), 0, 20_000, p, lambda g: _kth_largest_abs(g, k))
+    kth = _chunked(SeedSpec(17), 0, 20_000, p, lambda g, _: _kth_largest_abs(g, k))
     stderr = float(kth.std(ddof=1)) / math.sqrt(kth.size)
     assert abs(float(kth.mean()) - mean) <= 4.0 * stderr + err
 
@@ -239,6 +240,16 @@ SMALL_VECTOR_GRIDS = {
 }
 
 
+# one small point per matrix row, each where its event fires on some
+# replicates and not on others
+SMALL_MATRIX_GRIDS = {
+    "gauss_sv": ({"N": 20, "n": 5, "t": -0.5}, {"N": 30, "n": 10, "t": 0.5}),
+    "resolvent_sv": ({"n": 20, "p": 30, "k": 2, "k_star": 4, "t": -0.05, "sigma": 1.0},),
+    "sup_xtz": ({"n": 10, "p": 50, "k_star": 48, "sigma": 1.0},),
+    "sre_event": ({"n": 120, "p": 10, "k": 2, "eps": 2.0, "restarts": 2},),
+}
+
+
 def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
     reps, budget = 1003, 3000
     for grid in SMALL_VECTOR_GRIDS.values():
@@ -267,8 +278,11 @@ def test_chunked_draws_range_j_from_slot_plus_j(monkeypatch, threads):
     monkeypatch.setenv("SPARSE_MINIMAX_THREADS", threads)
     monkeypatch.setattr(tails, "_CHUNK_BUDGET", 40)  # five rows per block, several blocks per range
     spec, slot, reps, width = SeedSpec(9), 32, 1003, 8
-    got = _chunked(spec, slot, reps, width, lambda block: block.sum(axis=1))
+    got = _chunked(spec, slot, reps, width, lambda block, _: block.sum(axis=1))
     assert np.array_equal(got, _reference_draws(spec, slot, reps, width).sum(axis=1))
+    # each block comes with the index of its first row
+    firsts = _chunked(spec, slot, reps, width, lambda block, first: first + np.arange(block.shape[0]))
+    assert np.array_equal(firsts, np.arange(reps))
 
 
 def test_chunked_shares_no_buffer_between_threads(monkeypatch):
@@ -277,7 +291,7 @@ def test_chunked_shares_no_buffer_between_threads(monkeypatch):
     owners = {}
     lock = threading.Lock()
 
-    def slow_row_sums(block):
+    def slow_row_sums(block, _):
         with lock:
             owners.setdefault(block.__array_interface__["data"][0], set()).add(threading.get_ident())
         time.sleep(0.002)
@@ -295,14 +309,52 @@ def test_chunked_shares_no_buffer_between_threads(monkeypatch):
     assert len(owners) == 4 and all(len(threads) == 1 for threads in owners.values())
 
 
-def test_vector_rows_do_not_depend_on_the_thread_count(monkeypatch):
+def test_registry_rows_do_not_depend_on_the_thread_count(monkeypatch):
+    grids = {**SMALL_VECTOR_GRIDS, **SMALL_MATRIX_GRIDS}
+    assert set(grids) == EXPECTED_ROWS
     reports = {}
     for threads in ("1", "2", "3", "17"):
         monkeypatch.setenv("SPARSE_MINIMAX_THREADS", threads)
-        reports[threads] = {
-            row: check_tail_bound(row, grid=grid, reps=1003, seed=4).to_json() for row, grid in SMALL_VECTOR_GRIDS.items()
-        }
+        reports[threads] = {row: check_tail_bound(row, grid=grid, reps=1003, seed=4).to_json() for row, grid in grids.items()}
     assert reports["2"] == reports["1"] and reports["3"] == reports["1"] and reports["17"] == reports["1"]
+    for row in SMALL_MATRIX_GRIDS:
+        assert all(0.0 < cell["empirical"] < 1.0 for cell in reports["1"][row]["rows"]), row
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_a_matrix_row_draws_each_replicate_as_one_row(monkeypatch, threads):
+    # resolvent_sv: X row-major, then z, in one row of width n*p + n
+    (point,) = SMALL_MATRIX_GRIDS["resolvent_sv"]
+    n, p, k, k_star, t = point["n"], point["p"], point["k"], point["k_star"], point["t"]
+    width = n * p + n
+    monkeypatch.setenv("SPARSE_MINIMAX_THREADS", threads)
+    monkeypatch.setattr(tails, "_CHUNK_BUDGET", 3 * width)  # three rows per block, several blocks per range
+    spec, reps = SeedSpec(4), 203
+    vals, extra = REGISTRY["resolvent_sv"].simulate(point, spec, reps, 0)
+    level = math.sqrt(1.0 - 1.0 / n) - math.sqrt(k_star / n) - t
+    want = []
+    for row in _reference_draws(spec, 0, reps, width):
+        X, z = row[: n * p].reshape(n, p), row[n * p :]
+        cols = X[:, resolvent_set(X, z, np.arange(k), k_star)]
+        want.append(np.linalg.svd(cols, compute_uv=False)[-1] / math.sqrt(n) <= level)
+    assert 0 < sum(want) < reps
+    assert np.array_equal(vals, np.array(want, dtype=float)) and extra == 0.0
+
+
+def test_a_cell_that_cannot_fit_is_refused_before_it_draws(monkeypatch):
+    drawn = []
+    generator = SeedSpec.generator
+    monkeypatch.setattr(SeedSpec, "generator", lambda *args: drawn.append(args) or generator(*args))
+    monkeypatch.setenv("SPARSE_MINIMAX_THREADS", "1")
+    reps, d = 1000, 50
+    need = 8 * reps + 8 * 63 * d  # the results and one buffer of ceil(1000/16) rows
+    monkeypatch.setattr(tails, "_memory_budget", lambda: need - 1)
+    with pytest.raises(CapacityError, match=rf"reps={reps} .* needs about {need} bytes .* the {need - 1} bytes"):
+        check_tail_bound("chi2_lower", grid=[{"d": d, "tau": 0.5}], reps=reps)
+    assert drawn == []
+    monkeypatch.setattr(tails, "_memory_budget", lambda: need)
+    assert check_tail_bound("chi2_lower", grid=[{"d": d, "tau": 0.5}], reps=reps).passed
+    assert len(drawn) == 16
 
 
 def test_median_shortcut_matches_the_sorted_route():
