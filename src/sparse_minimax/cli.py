@@ -44,7 +44,6 @@ from .risk import (
     _memory_budget,
     empirical_risk,
     empirical_risks,
-    map_indexed,
     minimax_denominator,
     predicted_ratio,
     worker_count,
@@ -91,7 +90,8 @@ def _atomic_write(path: str, data: bytes) -> None:
 
 
 def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+    """Strict JSON: a NaN or infinity raises instead of being written."""
+    return (json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
 
 
 def _require_out_dir(out: str) -> None:
@@ -115,13 +115,42 @@ def _write_run(out: str, subcommand: str, config, files: dict[str, bytes], start
     _atomic_write(os.path.join(out, _MANIFEST_NAME), _json_bytes(manifest))
 
 
+# --- memory admission --------------------------------------------------------
+
+
+def _admit(command: str, n: int, p: int, reps: int | None, result_bytes: int, gram: bool) -> None:
+    """Refuse a command whose working set cannot fit in the memory budget,
+    before it draws anything. The working set is one n x p design (a
+    command holds one at a time), ``result_bytes`` of per-replicate results
+    and, where the event check runs, the Gram matrix and the two copies
+    that ``eigvalsh`` and ``solve`` make of it on the exact cone route."""
+    need = 8 * n * p + result_bytes + (3 * 8 * min(p, n + 1) ** 2 if gram else 0)
+    budget = _memory_budget()
+    if budget is not None and need > budget:
+        at = f"n={n}, p={p}" + (f", reps={reps}" if reps is not None else "")
+        parts = "one design" + (", the per-replicate results" if reps is not None else "")
+        parts += ", a Gram matrix and two copies of it" if gram else ""
+        raise CapacityError(
+            f"{command} at {at} needs about {need} bytes ({parts}), more than the {budget} bytes available"
+        )
+
+
 # --- simulate-risk / sweep ---------------------------------------------------
+
+
+def _admit_risk(command: str, cfg, estimators) -> None:
+    """The errors array (8 bytes) and flags array (1 byte) hold one entry
+    per estimator, amplitude and replicate; the aggregated estimator runs
+    the event check."""
+    results = 9 * len(estimators) * len(cfg.amplitudes) * cfg.reps
+    _admit(command, cfg.n, cfg.p, cfg.reps, results, "aggregated" in estimators)
 
 
 def _risk_files(mapping: dict[str, str], threads) -> tuple[dict[str, bytes], dict]:
     """CSV, TSV, and JSON summary for one estimator run; pure function of
     the resolved mapping, so replay can regenerate the bytes."""
     cfg = experiment_config_from_mapping(mapping)
+    _admit_risk("simulate-risk", cfg, (cfg.estimator_id,))
     return _format_risk(cfg, empirical_risk(cfg, threads=threads))
 
 
@@ -180,6 +209,7 @@ def _produce_sweep(config: dict, threads=None) -> tuple[dict[str, bytes], bool]:
     }
     # every estimator config shares n, p, k, sigma, reps and the seed
     cfg = cfgs[estimators[0]]
+    _admit_risk("sweep", cfg, estimators)
     reports = empirical_risks(cfg, estimators, threads)
     files: dict[str, bytes] = {}
     combined = {}
@@ -206,23 +236,11 @@ def _produce_sweep(config: dict, threads=None) -> tuple[dict[str, bytes], bool]:
 # --- diagnose-design ---------------------------------------------------------
 
 
-def _admit_diagnose(n: int, p: int) -> None:
-    """Refuse a design whose working set cannot fit before drawing it: the
-    n x p design plus, on the exact route, the Gram matrix and the copies
-    that ``eigvalsh`` and ``solve`` make of it."""
-    need = 8 * n * p + 3 * 8 * min(p, n + 1) ** 2
-    budget = _memory_budget()
-    if budget is not None and need > budget:
-        raise CapacityError(
-            f"diagnose-design at n={n}, p={p} needs about {need} bytes "
-            f"(the design, its Gram matrix and two copies of that), more than the {budget} bytes available"
-        )
-
-
 def _produce_diagnose(config: dict) -> tuple[dict[str, bytes], bool]:
-    _admit_diagnose(config["n"], config["p"])
+    n, p = config["n"], config["p"]
+    _admit("diagnose-design", n, p, None, 0, gram=True)
     spec = SeedSpec(config["seed"])
-    design = gen_design(config["n"], config["p"], spec)
+    design = gen_design(n, p, spec, worker_count())
     report = event_a_check(design.entries, config["k"], config["eps"], restarts=config["restarts"], seed=spec)
     payload = {
         "subcommand": "diagnose-design",
@@ -266,9 +284,9 @@ def _parse_grid_text(text: str) -> list[dict]:
 # --- check-lemma: proof-lemma drivers ----------------------------------------
 
 
-def _lemma_instance(settings: dict, rep: int, seed: int):
+def _lemma_instance(settings: dict, rep: int, seed: int, threads: int):
     spec = SeedSpec(seed, rep)
-    design = gen_design(settings["n"], settings["p"], spec)
+    design = gen_design(settings["n"], settings["p"], spec, threads)
     scale = settings["sigma"] * math.sqrt(2.0 * math.log(settings["p"] / settings["k"]) / settings["n"])
     signal = make_signal(settings["p"], settings["k"], settings["amplitude"] * scale, seed=spec)
     inst = synthesize(design, signal, settings["sigma"], spec)
@@ -280,21 +298,21 @@ def _lasso_level(settings: dict) -> float:
 
 
 def _map_replicates(replicate, settings: dict, reps: int, seed: int) -> list:
-    """``[replicate(settings, seed, r) for r in range(reps)]``, on worker
-    threads.
+    """``[replicate(settings, seed, r, threads) for r in range(reps)]``, one
+    replicate at a time on the calling thread.
 
     Replicate r draws everything from stream r and returns only small
-    values, so the list does not depend on the thread count, and a worker
-    drops its n x p design before it draws the next one. The count is the
-    risk sweep's: SPARSE_MINIMAX_THREADS or the usable CPUs, capped by how
-    many designs fit in memory."""
-    threads = worker_count(worker_bytes=8 * settings["n"] * settings["p"])  # a float64 design each
-    return map_indexed(lambda rep: replicate(settings, seed, rep), reps, threads)
+    values, so its n x p design is dropped before the next one is drawn.
+    ``threads`` is the risk sweep's count, SPARSE_MINIMAX_THREADS or the
+    usable CPUs: it splits each design's draw, and the list does not
+    depend on it."""
+    threads = worker_count()
+    return [replicate(settings, seed, rep, threads) for rep in range(reps)]
 
 
-def _gap_replicate(settings: dict, seed: int, rep: int):
+def _gap_replicate(settings: dict, seed: int, rep: int, threads: int):
     """Replicate rep's resolvent report and oracle-Lasso gap check."""
-    _, inst, beta = _lemma_instance(settings, rep, seed)
+    _, inst, beta = _lemma_instance(settings, rep, seed, threads)
     X, z = inst.design.entries, inst.noise.z
     lam = _lasso_level(settings)
     res = lasso_fit(X, inst.response, LassoConfig(lam=lam))
@@ -352,13 +370,13 @@ def _resolved_delta0(settings: dict) -> float:
     return delta_consts(settings["eps"])[0]
 
 
-def _stochastic_replicate(settings: dict, seed: int, rep: int):
+def _stochastic_replicate(settings: dict, seed: int, rep: int, threads: int):
     params = StochasticErrorParams(
         _resolved_delta0(settings), settings["delta1"], settings["delta2"], settings["delta3"]
     )
     n, p, k, sigma = settings["n"], settings["p"], settings["k"], settings["sigma"]
     spec = SeedSpec(seed, rep)
-    X = gen_design(n, p, spec).entries
+    X = gen_design(n, p, spec, threads).entries
     z = sigma * spec.generator(ROLE_NOISE).standard_normal(n)
     samples = stochastic_u_samples(X, z, k, settings["u_samples"], spec)
     chk = stochastic_error_event_check(X, z, params, samples, k, sigma)
@@ -374,7 +392,7 @@ def _driver_stochastic(settings: dict, reps: int, seed: int) -> dict:
         failures += not all_hold
     level = settings["delta3"]
     slack = 3.0 * math.sqrt(level * (1.0 - level) / applicable) if applicable else 0.0
-    rate = failures / applicable if applicable else math.nan
+    rate = failures / applicable if applicable else None
     return {
         "lemma": "stochastic-error",
         "reps": reps,
@@ -387,10 +405,10 @@ def _driver_stochastic(settings: dict, reps: int, seed: int) -> dict:
     }
 
 
-def _event_error_replicate(settings: dict, seed: int, rep: int):
+def _event_error_replicate(settings: dict, seed: int, rep: int, threads: int):
     """The Lasso's l2 error on replicate rep, or None off the conditioning
     event (no fit is made there)."""
-    spec, inst, beta = _lemma_instance(settings, rep, seed)
+    spec, inst, beta = _lemma_instance(settings, rep, seed, threads)
     holds = event_a_check(
         inst.design.entries, settings["k"], settings["eps"], restarts=settings["restarts"], seed=spec
     ).holds
@@ -416,7 +434,7 @@ def _driver_l2(settings: dict, reps: int, seed: int) -> dict:
         violations += err > bound
     level = settings["delta3"]
     slack = 3.0 * math.sqrt(level * (1.0 - level) / on_event) if on_event else 0.0
-    rate = violations / on_event if on_event else math.nan
+    rate = violations / on_event if on_event else None
     return {
         "lemma": "l2-bound",
         "reps": reps,
@@ -455,7 +473,7 @@ def _driver_moments(settings: dict, reps: int, seed: int) -> dict:
         "on_event": on_event,
         "moment": mean,
         "stderr": stderr,
-        "passed": mean + 3.0 * stderr <= bound,
+        "passed": on_event > 0 and mean + 3.0 * stderr <= bound,
     }
 
 
@@ -472,7 +490,12 @@ def _produce_check_lemma(config: dict) -> tuple[dict[str, bytes], bool]:
     """A proof-lemma driver's result, or a tail-registry row's report."""
     lemma = config["lemma"]
     if lemma in _PROOF_DRIVERS:
-        report = _PROOF_DRIVERS[lemma](config["settings"], config["reps"], config["seed"])
+        settings, reps = config["settings"], config["reps"]
+        _admit(
+            f"check-lemma --lemma {lemma}", settings["n"], settings["p"], reps, 8 * reps,
+            gram=lemma in ("l2-bound", "moments"),
+        )
+        report = _PROOF_DRIVERS[lemma](settings, reps, config["seed"])
         passed = bool(report["passed"])
     else:
         tail = check_tail_bound(lemma, grid=config.get("grid"), reps=config["reps"], seed=config["seed"])
@@ -644,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", required=True, help="flat key = value experiment config")
     sim.add_argument("--seed", type=int, default=None, help="override master_seed from the config")
     sim.add_argument("--out", required=True, help="existing directory for CSV/TSV/JSON and the manifest")
-    sim.add_argument("--threads", type=int, default=None, help="worker threads (results never depend on this)")
+    sim.add_argument("--threads", type=int, default=None, help="threads that draw each design (results never depend on this)")
     sim.set_defaults(handler=_cmd_simulate_risk)
 
     swp = sub.add_parser("sweep", help="run the same experiment for several estimators, sharing seeds")

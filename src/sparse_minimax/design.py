@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import ROLE_DESIGN, ROLE_NOISE, ROLE_SUPPORT, SeedSpec
+from .rng import ROLE_DESIGN, ROLE_NOISE, ROLE_SUPPORT, SUBSTREAMS, SeedSpec, map_indexed, substream_edges
 
 
 @dataclass(frozen=True)
@@ -71,16 +71,29 @@ class Instance:
     response: np.ndarray = field(repr=False)
 
 
-def gen_design(n: int, p: int, seed: SeedSpec) -> GaussianDesign:
+def gen_design(n: int, p: int, seed: SeedSpec, threads: int = 1) -> GaussianDesign:
     """Draw an n x p standard normal design, bit-identical for equal seeds.
 
-    Entry (i, j) is draw number j*n + i of the stream's design role; the draw
-    is shaped (p, n) and transposed, which leaves the columns contiguous.
+    The design is drawn as a (p, n) C-order array, one row per column, and
+    transposed, which leaves the columns contiguous. Its p columns form the
+    16 fixed ranges of ``SeedSpec.generator``'s rule: range j holds columns
+    p*j//16 up to p*(j+1)//16 and is drawn from
+    ``seed.generator(ROLE_DESIGN, j)``, column by column. The ranges run on
+    ``min(threads, 16)`` threads (``threads`` already resolved, e.g. by
+    ``risk.worker_count``); the bytes do not depend on it.
     """
     if n < 1 or p < 1:
         raise ValueError(f"design dimensions must be positive, got n={n}, p={p}")
-    entries = seed.generator(ROLE_DESIGN).standard_normal((p, n)).T
-    return GaussianDesign(n=n, p=p, entries=entries)
+    rows = np.empty((p, n))
+    edges = substream_edges(p)
+    workers = min(threads, SUBSTREAMS)
+
+    def run(t: int) -> None:
+        for j in range(t, SUBSTREAMS, workers):
+            seed.generator(ROLE_DESIGN, j).standard_normal(out=rows[edges[j] : edges[j + 1]])
+
+    map_indexed(run, workers, workers)
+    return GaussianDesign(n=n, p=p, entries=rows.T)
 
 
 def make_signal(

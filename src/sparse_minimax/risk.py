@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -88,12 +87,14 @@ def _memory_budget() -> int | None:
 
 
 def worker_count(requested: int | None = None, worker_bytes: int | None = None) -> int:
-    """Thread count for replicate loops: SPARSE_MINIMAX_THREADS if set,
-    otherwise ``requested``, otherwise the number of CPUs this process may
-    run on, capped by the cgroup CPU quota. When each worker holds
-    ``worker_bytes`` (e.g. its own design), every one of these is also
-    capped by how many such workers fit in the memory budget (at least
-    one). Results never depend on this."""
+    """Thread count for a command: SPARSE_MINIMAX_THREADS if set, otherwise
+    ``requested``, otherwise the number of CPUs this process may run on,
+    capped by the cgroup CPU quota. A command holds one design at a time
+    and uses the count inside each replicate (the design's 16 column
+    ranges, then numpy's own BLAS threads). When each thread holds
+    ``worker_bytes`` of its own (a tail-registry draw buffer), every one of
+    these is also capped by how many such threads fit in the memory budget
+    (at least one). Results never depend on this."""
     raw = os.environ.get(_THREADS_ENV)
     if raw is not None:
         try:
@@ -118,21 +119,6 @@ def worker_count(requested: int | None = None, worker_bytes: int | None = None) 
     if budget is not None:
         count = min(count, max(1, budget // worker_bytes))
     return count
-
-
-def map_indexed(fn, count: int, workers: int) -> list:
-    """``[fn(i) for i in range(count)]``, in index order.
-
-    Runs on the calling thread with one worker or at most one item, and on
-    ``min(workers, count)`` pool threads otherwise. Every replicate loop in
-    the package goes through here; when fn(i) depends on i alone, as a
-    replicate drawing from its own stream does, the list does not depend
-    on ``workers``.
-    """
-    if workers == 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=min(workers, count)) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 @dataclass(frozen=True)
@@ -324,16 +310,17 @@ def predicted_ratio(n: int, p: int, k: int, eps: float) -> float:
     return (1.0 + eps) ** 2 + 1.0 / (2.0 * math.log(p / k))
 
 
-def _replicate_errors(config: ExperimentConfig, ids, rep: int, lam: float, seq, amps_abs):
+def _replicate_errors(config: ExperimentConfig, ids, rep: int, lam: float, seq, amps_abs, threads: int):
     """Squared errors and convergence flags, each (len(ids), n_amplitudes),
     for one replicate of every estimator in ``ids``.
 
     Pure function of (config, ids, rep): the design, noise, and any support
-    draw all come from the replicate's own stream. The design is drawn once,
-    and its column norms, X'z, SLOPE's start step and the aggregated
-    estimator's event check are computed once per replicate; each depends
-    only on the design and the noise, which every amplitude shares (z is
-    the noise role's slot 0).
+    draw all come from the replicate's own stream, and ``threads`` only
+    splits the design's draw. The design is drawn once, and its column
+    norms, X'z, SLOPE's start step and the aggregated estimator's event
+    check are computed once per replicate; each depends only on the design
+    and the noise, which every amplitude shares (z is the noise role's
+    slot 0).
 
     Every nonzero amplitude a has the same support S (``first_k``, or the
     support role's slot 0 for ``random``), and amplitude 0 has y = z, so
@@ -346,7 +333,7 @@ def _replicate_errors(config: ExperimentConfig, ids, rep: int, lam: float, seq, 
     when it runs alone.
     """
     spec = SeedSpec(config.master_seed, rep)
-    design = gen_design(config.n, config.p, spec)
+    design = gen_design(config.n, config.p, spec, threads)
     X = design.entries
     iterative = "lasso" in ids or "slope" in ids  # the fits that use col_sq and X'y
     col_sq = _k.col_sumsq(X) if iterative else None
@@ -442,11 +429,14 @@ def empirical_risks(config: ExperimentConfig, estimator_ids, threads: int | None
 
     Every estimator sees the same replicates: replicate r draws its design
     once from stream r of the master seed and fits every estimator on it.
-    Results land in a preallocated array by index and means use numpy's
-    pairwise sums, so each report is bit-identical for any thread count and
-    to an :func:`empirical_risk` run of that estimator alone. Non-converged
-    fits are flagged and excluded from the means; more than 1% flagged for
-    any estimator aborts the run.
+    Replicates run one at a time on the calling thread, so one design is
+    alive at a time; the resolved thread count draws each design and the
+    fits use numpy's own BLAS threads. Results land in a preallocated array
+    by index and means use numpy's pairwise sums, so each report is
+    bit-identical for any thread count and to an :func:`empirical_risk`
+    run of that estimator alone. Non-converged fits are flagged and
+    excluded from the means; more than 1% flagged for any estimator aborts
+    the run.
     """
     ids = tuple(dict.fromkeys(estimator_ids))
     if not ids:
@@ -454,7 +444,7 @@ def empirical_risks(config: ExperimentConfig, estimator_ids, threads: int | None
     for est in ids:
         if est not in ESTIMATOR_IDS:
             raise ValueError(f"estimator ids must be among {ESTIMATOR_IDS}, got {est!r}")
-    threads = worker_count(threads, worker_bytes=8 * config.n * config.p)  # a float64 design each
+    threads = worker_count(threads)
     needs_lam = any(est in ("lasso", "oracle", "aggregated") for est in ids)
     lam = lambda_eps(config.eps, config.sigma_eff, config.n, config.p, config.k) if needs_lam else 0.0
     seq = (
@@ -469,12 +459,8 @@ def empirical_risks(config: ExperimentConfig, estimator_ids, threads: int | None
     errors = np.empty(shape)
     flags = np.zeros(shape, dtype=bool)
 
-    def run(rep: int):
-        return _replicate_errors(config, ids, rep, lam, seq, amps_abs)
-
-    for rep, (errs, flg) in enumerate(map_indexed(run, config.reps, threads)):
-        errors[:, :, rep] = errs
-        flags[:, :, rep] = flg
+    for rep in range(config.reps):
+        errors[:, :, rep], flags[:, :, rep] = _replicate_errors(config, ids, rep, lam, seq, amps_abs, threads)
 
     return {est: _risk_report(config, est, errors[e], flags[e]) for e, est in enumerate(ids)}
 

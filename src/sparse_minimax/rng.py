@@ -12,6 +12,7 @@ method is part of the reproducibility contract and must not be swapped.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,30 @@ ROLE_RESTART = 4
 ROLE_PROBE = 5
 ROLE_CELL = 6
 
+SUBSTREAMS = 16  # fixed ranges per parallel draw; see SeedSpec.generator
+
 _U64 = 2**64
+
+
+def map_indexed(fn, count: int, workers: int) -> list:
+    """``[fn(i) for i in range(count)]``, in index order.
+
+    Runs on the calling thread with one worker or at most one item, and on
+    ``min(workers, count)`` pool threads otherwise. Every parallel draw in
+    the package goes through here; when fn(i) depends on i alone, as a
+    range drawing from its own slot does, the list does not depend on
+    ``workers``.
+    """
+    if workers == 1 or count <= 1:
+        return [fn(i) for i in range(count)]
+    with ThreadPoolExecutor(max_workers=min(workers, count)) as pool:
+        return list(pool.map(fn, range(count)))
+
+
+def substream_edges(count: int) -> list[int]:
+    """Bounds of the SUBSTREAMS ranges of ``count`` items: range j holds
+    items edges[j] up to edges[j + 1] (the rule in SeedSpec.generator)."""
+    return [count * j // SUBSTREAMS for j in range(SUBSTREAMS + 1)]
 
 
 @dataclass(frozen=True)
@@ -46,9 +70,16 @@ class SeedSpec:
         sits in the top counter word, the slot one word below, and block
         increments only touch the bottom words. Slots index repeated draws
         of the same kind inside one stream (descent restarts, probe
-        directions, grid cells). A tail-registry grid cell i owns the 16
-        slots 16i ... 16i+15, one per fixed range of its replicates; the
-        rule is stated once, in ``tails._chunked``.
+        directions, grid cells).
+
+        A draw that may run on several threads is split by one rule. Its
+        ``count`` items (a design's columns, a registry cell's replicates)
+        form SUBSTREAMS = 16 fixed contiguous ranges, range j holding items
+        count*j//16 up to count*(j+1)//16 (``substream_edges``), and range
+        j is drawn in item order from slot ``base + j``. The bytes then
+        depend on neither the thread count nor any chunking inside a range.
+        ``design.gen_design`` uses base 0 of the design role; tail-registry
+        grid cell i uses base 16i of the cell role (``tails._chunked``).
         """
         if not (0 <= role < _U64):
             raise ValueError(f"role must be an unsigned 64-bit int, got {role}")

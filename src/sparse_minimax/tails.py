@@ -10,8 +10,8 @@ row says so.
 Every row, vector or matrix, draws through one sampler, _chunked: one
 replicate is one row of standard normals (a matrix row reshapes its row
 into a design, and a noise vector where it has one), grid cell i draws
-from its own 16 counter slots by the rule stated there, and the draws run
-on worker threads without changing any report.
+from its own 16 counter slots by the rule stated in SeedSpec.generator,
+and the draws run on worker threads without changing any report.
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ from ._special import binom_tail, binom_tail_error, erfc_grid
 from .diagnostics import event_a_check
 from .estimators import CapacityError, _enum_count
 from .events import resolvent_set
-from .risk import _memory_budget, map_indexed, worker_count
-from .rng import ROLE_CELL, SeedSpec
+from .risk import _memory_budget, worker_count
+from .rng import ROLE_CELL, SUBSTREAMS, SeedSpec, map_indexed, substream_edges
 
 _CHUNK_BUDGET = 1_000_000  # doubles per draw buffer (8 MB)
-_SUBSTREAMS = 16  # counter slots per grid cell, one per range of its replicates
 _QUAD_INTERVALS = 1 << 16  # trapezoid intervals for the exact order-statistic mean
 _TAIL_CUT = 1e-12  # largest integrand mass left beyond that quadrature's cut
 
@@ -96,23 +95,21 @@ def _chunked(spec: SeedSpec, slot: int, reps: int, width: int, f) -> np.ndarray:
     is the index of the block's first row and each row is one replicate.
 
     Grid cell i owns the counter slots 16i ... 16i+15 and passes
-    ``slot = 16i``. The rows are split into _SUBSTREAMS fixed contiguous
-    ranges, range j holding rows reps*j//_SUBSTREAMS up to
-    reps*(j+1)//_SUBSTREAMS, and range j is drawn row-major from
-    ``spec.generator(ROLE_CELL, slot + j)``. Within a range the draws are
-    sequential, so the result depends on neither the chunk size nor the
-    thread count.
+    ``slot = 16i``; the rows are the items of ``SeedSpec.generator``'s
+    range rule, so range j is drawn row-major from
+    ``spec.generator(ROLE_CELL, slot + j)`` and the result depends on
+    neither the chunk size nor the thread count.
 
-    The ranges run on up to _SUBSTREAMS worker threads, each with its own
+    The ranges run on up to SUBSTREAMS worker threads, each with its own
     buffer of at most _CHUNK_BUDGET doubles (one row if a row is wider),
     allocated once here; a thread draws a block into its buffer and runs f
     on it before drawing the next, and f may overwrite the block. Before
     anything is allocated or drawn, the results and the buffers are
     checked against the memory budget; CapacityError if they do not fit.
     """
-    edges = [reps * j // _SUBSTREAMS for j in range(_SUBSTREAMS + 1)]
-    step = min(-(-reps // _SUBSTREAMS), max(1, _CHUNK_BUDGET // max(width, 1)))  # a range has at most ceil(reps/16) rows
-    threads = min(worker_count(worker_bytes=8 * step * width), _SUBSTREAMS)
+    edges = substream_edges(reps)
+    step = min(-(-reps // SUBSTREAMS), max(1, _CHUNK_BUDGET // max(width, 1)))  # a range has at most ceil(reps/16) rows
+    threads = min(worker_count(worker_bytes=8 * step * width), SUBSTREAMS)
     need = 8 * reps + threads * 8 * step * width
     budget = _memory_budget()
     if budget is not None and need > budget:
@@ -125,7 +122,7 @@ def _chunked(spec: SeedSpec, slot: int, reps: int, width: int, f) -> np.ndarray:
 
     def run(t: int) -> None:
         buf = buffers[t]
-        for j in range(t, _SUBSTREAMS, threads):
+        for j in range(t, SUBSTREAMS, threads):
             gen = spec.generator(ROLE_CELL, slot + j)
             for pos in range(edges[j], edges[j + 1], step):
                 block = buf[: min(step, edges[j + 1] - pos)]
@@ -560,7 +557,7 @@ def check_tail_bound(lemma_id: str, grid=None, reps: int = 10_000, seed: int = 0
     standard errors (binomial for a frequency, the sample's for a mean)
     plus any sampler-reported term. Every row draws through _chunked, so
     grid cell i draws from its own counter slots 16i ... 16i+15 by the
-    rule stated there: cells are independent and individually
+    rule stated in SeedSpec.generator: cells are independent and individually
     reproducible, no report depends on the thread count, and a cell whose
     draws cannot fit in memory raises CapacityError before it draws. Every
     grid point is checked against the row's default points and by the
@@ -582,7 +579,7 @@ def check_tail_bound(lemma_id: str, grid=None, reps: int = 10_000, seed: int = 0
 
     rows = []
     for i, (point, bound) in enumerate(zip(points, bounds)):
-        vals, extra = row_spec.simulate(point, spec, reps, i * _SUBSTREAMS)
+        vals, extra = row_spec.simulate(point, spec, reps, i * SUBSTREAMS)
         if row_spec.direction == "mean_leq":
             emp = float(vals.mean())
             slack = 3.0 * float(vals.std(ddof=1)) / math.sqrt(vals.size) + extra

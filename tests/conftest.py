@@ -1,3 +1,6 @@
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -22,3 +25,28 @@ def make_instance():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def design_tracker(monkeypatch):
+    """Wraps ``gen_design`` in the given modules and records, per call, how
+    many designs drawn earlier are still alive on entry, the thread count
+    passed, and the calling thread. A design counts as alive while the
+    array that owns its memory is, so a kept view or column slice counts."""
+    calls = []
+    owners = []
+
+    def track(*modules):
+        for module in modules:
+            real = module.gen_design
+
+            def tracking(n, p, seed, threads=1, real=real):
+                calls.append((sum(ref() is not None for ref in owners), threads, threading.get_ident()))
+                design = real(n, p, seed, threads)
+                owners.append(weakref.ref(design.entries.base))
+                return design
+
+            monkeypatch.setattr(module, "gen_design", tracking)
+        return calls
+
+    return track

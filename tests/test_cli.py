@@ -4,14 +4,15 @@ manifest integrity, and byte-exact replay."""
 import dataclasses
 import hashlib
 import json
+import math
 import threading
-import weakref
 
 import pytest
 
-from sparse_minimax import _kernels, cli, tails
+from sparse_minimax import _kernels, cli, risk, tails
 from sparse_minimax.cli import PROOF_LEMMAS, _parse_grid_text, _produce_check_lemma, run
 from sparse_minimax.config import lemma_config_from_mapping
+from sparse_minimax.estimators import LassoConfig, lasso_fit
 from sparse_minimax.risk import worker_count
 from sparse_minimax.tails import REGISTRY
 
@@ -301,51 +302,30 @@ PROOF_SETTINGS = {"n": "260", "p": "20", "k": "2", "sigma": "1.0", "eps": "2.0",
 
 
 @pytest.mark.parametrize("lemma", PROOF_LEMMAS)
-def test_proof_driver_reports_do_not_depend_on_the_thread_count(monkeypatch, lemma):
-    drawn_on = []
-    real_gen_design = cli.gen_design
-
-    def recording(n, p, spec):
-        drawn_on.append(threading.get_ident())
-        return real_gen_design(n, p, spec)
-
-    monkeypatch.setattr(cli, "gen_design", recording)
+def test_proof_driver_reports_do_not_depend_on_the_thread_count(monkeypatch, design_tracker, lemma):
+    # the thread count only splits each design's draw, which gets the
+    # resolved count
+    calls = design_tracker(cli)
     config = {"lemma": lemma, "reps": 9, "seed": 3, "settings": lemma_config_from_mapping(PROOF_SETTINGS)}
     files = {}
     for threads in ("1", "2", "3"):
         monkeypatch.setenv("SPARSE_MINIMAX_THREADS", threads)
-        drawn_on.clear()
+        calls.clear()
         files[threads] = _produce_check_lemma(config)
-        assert len(drawn_on) == 9
-        main = threading.get_ident()
-        assert set(drawn_on) == {main} if threads == "1" else main not in drawn_on
+        assert [count for _, count, _ in calls] == [int(threads)] * 9
     assert files["2"] == files["1"] and files["3"] == files["1"]
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("lemma", PROOF_LEMMAS)
-def test_proof_driver_workers_drop_each_design_before_drawing_the_next(monkeypatch, lemma, threads):
-    # a replicate entering gen_design holds no design itself, so at most the
-    # other workers' designs, one each, are alive
-    designs = []
-    most_alive = []
-    lock = threading.Lock()
-    real_gen_design = cli.gen_design
-
-    def tracking(n, p, spec):
-        with lock:
-            most_alive.append(sum(ref() is not None for ref in designs))
-        design = real_gen_design(n, p, spec)
-        with lock:
-            designs.append(weakref.ref(design.entries))
-        return design
-
-    monkeypatch.setattr(cli, "gen_design", tracking)
+def test_proof_driver_workers_drop_each_design_before_drawing_the_next(monkeypatch, design_tracker, lemma, threads):
+    # replicates run one at a time on the calling thread, so no design is
+    # alive when the next one is drawn, at any thread count
+    calls = design_tracker(cli)
     monkeypatch.setenv("SPARSE_MINIMAX_THREADS", str(threads))
     settings = lemma_config_from_mapping(PROOF_SETTINGS)
     cli._PROOF_DRIVERS[lemma](settings, 9, 3)
-    assert len(designs) == 9
-    assert max(most_alive) <= threads - 1
+    assert calls == [(0, threads, threading.get_ident())] * 9
 
 
 def test_check_lemma_proof_driver_needs_config(capsys):
@@ -378,7 +358,7 @@ def test_missing_out_directory(tmp_path, risk_config, capsys):
 def test_out_of_memory_is_an_error_line(monkeypatch, capsys):
     import sparse_minimax.cli as cli_mod
 
-    def no_memory(n, p, seed):
+    def no_memory(n, p, seed, threads=1):
         raise MemoryError(f"Unable to allocate {8 * n * p / 2**30:.1f} GiB for an array with shape ({p}, {n})")
 
     monkeypatch.setattr(cli_mod, "gen_design", no_memory)
@@ -399,6 +379,86 @@ def test_diagnose_design_is_refused_before_the_draw_when_it_cannot_fit(monkeypat
     assert err.startswith("error: diagnose-design") and "Traceback" not in err
     assert f"n={n}, p={p}" in err and f"needs about {need} bytes" in err and f"the {need - 1} bytes" in err
     assert drawn == []
+
+
+class _Drawn(Exception):
+    pass
+
+
+_NP = 8 * 400 * 800  # one design at n=400, p=800
+_GRAM = 24 * 401**2  # its Gram matrix and two copies
+_SIZE_CFG = "n = 400\np = 800\nk = 4\nsigma = 1.0\neps = 0.1\n"
+_RISK_EXTRA = "amplitudes = 2.0, 4.0\nreps = 3\nmaster_seed = 1\n"
+
+
+@pytest.mark.parametrize(
+    "command, argv, need",
+    [
+        ("simulate-risk", ["simulate-risk", "--out", "{out}"], _NP + 9 * 1 * 2 * 3),
+        ("sweep", ["sweep", "--estimators", "oracle,aggregated", "--out", "{out}"], _NP + 9 * 2 * 2 * 3 + _GRAM),
+    ]
+    + [
+        (f"check-lemma --lemma {lemma}", ["check-lemma", "--lemma", lemma, "--reps", "3"],
+         _NP + 8 * 3 + (_GRAM if lemma in ("l2-bound", "moments") else 0))
+        for lemma in PROOF_LEMMAS
+    ],
+)
+def test_replicate_commands_are_refused_before_any_draw_when_they_cannot_fit(
+    tmp_path, monkeypatch, capsys, command, argv, need
+):
+    # one design, the per-replicate results, and a Gram matrix where the
+    # event check forms one; at exactly that budget the first draw starts
+    cfg = tmp_path / "cfg"
+    risk_extra = {"simulate-risk": _RISK_EXTRA + "estimator_id = oracle\n", "sweep": _RISK_EXTRA}
+    cfg.write_text(_SIZE_CFG + risk_extra.get(command, ""))
+    argv = [a.replace("{out}", str(tmp_path)) for a in argv] + ["--config", str(cfg)]
+    drawn = []
+
+    def drawing(*args):
+        drawn.append(args)
+        raise _Drawn
+
+    for module in (cli, risk):
+        monkeypatch.setattr(module, "gen_design", drawing)
+    monkeypatch.setattr(cli, "_memory_budget", lambda: need - 1)
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command} at n=400, p=800, reps=3 needs about {need} bytes (") and "Traceback" not in err
+    assert err.endswith(f"more than the {need - 1} bytes available\n")
+    assert drawn == []
+    monkeypatch.setattr(cli, "_memory_budget", lambda: need)
+    with pytest.raises(_Drawn):
+        run(argv)
+
+
+
+
+def _no_bare_constants(name):
+    raise AssertionError(f"bare {name} in a JSON file")
+
+
+@pytest.mark.parametrize(
+    "lemma, count, rate",
+    [("l2-bound", "on_event", "violation_rate"), ("moments", "on_event", None), ("stochastic-error", "applicable", "failure_rate")],
+)
+def test_a_driver_that_no_replicate_informs_fails_and_writes_strict_json(tmp_path, capsys, lemma, count, rate):
+    # the event never holds at this size and eps, so no replicate informs
+    # the event drivers, and the stochastic-error event applies to none
+    cfg = tmp_path / "cfg"
+    cfg.write_text(_SIZE_CFG)
+    argv = ["check-lemma", "--lemma", lemma, "--config", str(cfg), "--reps", "8", "--seed", "1", "--out", str(tmp_path)]
+    assert run(argv) == 2
+    payload = json.loads((tmp_path / f"lemma_{lemma}.json").read_text(), parse_constant=_no_bare_constants)
+    report = payload["report"]
+    assert report[count] == 0 and report["passed"] is False
+    if rate is not None:
+        assert report[rate] is None
+    assert json.loads(capsys.readouterr().out, parse_constant=_no_bare_constants) == report
+
+
+def test_json_files_refuse_non_finite_numbers():
+    with pytest.raises(ValueError):
+        cli._json_bytes({"rate": math.nan})
 
 
 @pytest.mark.parametrize(
@@ -432,15 +492,20 @@ def test_gap_replicate_makes_one_design_product_for_the_oracle_and_the_resolvent
 
     monkeypatch.setattr(_kernels, "xt_dot", counting)
     settings = lemma_config_from_mapping(PROOF_SETTINGS)
-    per_replicate = []
+    on_event = 0
     for rep in range(4):
+        _, inst, _ = cli._lemma_instance(settings, rep, 3, 1)
         calls.clear()
-        cli._gap_replicate(settings, 3, rep)
-        per_replicate.append(len(calls))
-    assert per_replicate == [3, 4, 3, 3]
-    calls.clear()
-    cli._PROOF_DRIVERS["l2-bound"](settings, 4, 3)
-    assert len(calls) == 4
+        lasso_fit(inst.design.entries, inst.response, LassoConfig(lam=cli._lasso_level(settings)))
+        lasso_products = len(calls)
+        calls.clear()
+        cli._gap_replicate(settings, 3, rep, 1)
+        assert len(calls) == lasso_products + 1
+        calls.clear()
+        fitted = cli._event_error_replicate(settings, 3, rep, 1) is not None
+        assert len(calls) == (lasso_products if fitted else 0)
+        on_event += fitted
+    assert 0 < on_event < 4  # both branches of the l2 replicate ran
 
 
 def test_unknown_flag_and_missing_subcommand(capsys):

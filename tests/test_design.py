@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparse_minimax.design import gen_design, make_signal, synthesize
-from sparse_minimax.rng import SeedSpec
+from sparse_minimax.rng import ROLE_DESIGN, SeedSpec
 
 
 def test_design_shape_and_layout():
@@ -25,6 +25,29 @@ def test_design_entries_standard_normal_scale():
     flat = d.entries.ravel()
     assert abs(flat.mean()) < 0.02
     assert abs(flat.std() - 1.0) < 0.02
+
+
+@pytest.mark.parametrize("n, p", [(37, 203), (5, 16), (9, 7), (4, 1)])
+def test_design_bytes_do_not_depend_on_the_thread_count(n, p):
+    spec = SeedSpec(17, 2)
+    one = gen_design(n, p, spec).entries
+    for threads in (2, 3, 17):
+        assert gen_design(n, p, spec, threads).entries.tobytes(order="F") == one.tobytes(order="F")
+
+
+@pytest.mark.parametrize("n, p", [(37, 203), (6, 7)])
+def test_design_range_j_is_drawn_from_slot_j(n, p):
+    # columns p*j//16 up to p*(j+1)//16 come from slot j, column by column;
+    # with p < 16 most ranges are empty
+    spec = SeedSpec(17, 2)
+    X = gen_design(n, p, spec, threads=3).entries
+    filled = 0
+    for j in range(16):
+        lo, hi = p * j // 16, p * (j + 1) // 16
+        block = spec.generator(ROLE_DESIGN, j).standard_normal((hi - lo, n))
+        assert np.array_equal(X[:, lo:hi], block.T)
+        filled += hi - lo
+    assert filled == p
 
 
 def test_replicates_get_fresh_designs():

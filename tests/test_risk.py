@@ -10,15 +10,16 @@ import pytest
 from scipy.integrate import quad
 
 import sparse_minimax.risk as risk_mod
-from sparse_minimax import _kernels, cli, tails
+import sparse_minimax.rng as rng_mod
+from sparse_minimax import _kernels, cli, design, tails
 from sparse_minimax.config import lemma_config_from_mapping
 from sparse_minimax.design import gen_design, make_signal, synthesize
 from sparse_minimax.estimators import EstimatorResult, lambda_eps, mle_best_subset
 from sparse_minimax.risk import (
+    ESTIMATOR_IDS,
     ExperimentConfig,
     empirical_risk,
     empirical_risks,
-    map_indexed,
     minimax_denominator,
     mle_moment_estimate,
     oracle_risk_prediction,
@@ -28,7 +29,7 @@ from sparse_minimax.risk import (
     st_risk_exact,
     worker_count,
 )
-from sparse_minimax.rng import SeedSpec
+from sparse_minimax.rng import SeedSpec, map_indexed
 
 
 def quad_st_risk(mu, tau):
@@ -414,20 +415,22 @@ def test_map_indexed_runs_on_the_calling_thread_without_a_pool(monkeypatch, coun
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(risk_mod, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(rng_mod, "ThreadPoolExecutor", no_pool)
     main = threading.get_ident()
     assert map_indexed(lambda i: (i, threading.get_ident()), count, workers) == [(i, main) for i in range(count)]
 
 
-def test_every_replicate_loop_runs_through_map_indexed(monkeypatch):
+def test_every_parallel_draw_runs_through_map_indexed(monkeypatch):
+    # the replicate loops run on the calling thread; only a design's column
+    # ranges and a registry cell's replicate ranges go to the pool
     callers = []
-    real = risk_mod.map_indexed
+    real = rng_mod.map_indexed
 
     def spy(fn, count, workers):
         callers.append(fn.__qualname__.split(".")[0])
         return real(fn, count, workers)
 
-    for module in (risk_mod, cli, tails):
+    for module in (design, tails):
         monkeypatch.setattr(module, "map_indexed", spy)
     monkeypatch.setenv("SPARSE_MINIMAX_THREADS", "2")
     cfg = ExperimentConfig(
@@ -437,32 +440,46 @@ def test_every_replicate_loop_runs_through_map_indexed(monkeypatch):
     settings = lemma_config_from_mapping({"n": "40", "p": "20", "k": "2", "sigma": "1.0", "eps": "0.1"})
     cli._produce_check_lemma({"lemma": "gap", "reps": 2, "seed": 3, "settings": settings})
     tails.check_tail_bound("chi2_lower", grid=[{"d": 5, "tau": 0.5}], reps=100)
-    assert callers == ["empirical_risks", "_map_replicates", "_chunked"]
+    assert callers == ["gen_design"] * 4 + ["_chunked"]
 
 
-def test_empirical_risks_sizes_workers_by_the_design(monkeypatch):
-    seen = []
-    real = risk_mod.worker_count
-
-    def spy(requested=None, worker_bytes=None):
-        seen.append((requested, worker_bytes))
-        return real(requested, worker_bytes)
-
-    monkeypatch.setattr(risk_mod, "worker_count", spy)
+@pytest.mark.parametrize("requested, env, expected", [(None, None, None), (3, None, 3), (3, "2", 2)])
+def test_empirical_risks_passes_the_resolved_thread_count_to_each_draw(
+    monkeypatch, design_tracker, requested, env, expected
+):
+    if env is None:
+        monkeypatch.delenv("SPARSE_MINIMAX_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SPARSE_MINIMAX_THREADS", env)
+    calls = design_tracker(risk_mod)
     cfg = ExperimentConfig(
         n=30, p=50, k=2, sigma=1.0, eps=0.1, estimator_id="oracle", amplitudes=(1.0,), reps=2, master_seed=3
     )
-    empirical_risks(cfg, ("oracle",), threads=None)
-    assert seen == [(None, 8 * 30 * 50)]
+    empirical_risks(cfg, ("oracle",), threads=requested)
+    resolved = expected or worker_count()
+    assert [threads for _, threads, _ in calls] == [resolved, resolved]
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_sweep_holds_no_design_when_it_draws_the_next(monkeypatch, design_tracker, threads):
+    monkeypatch.setenv("SPARSE_MINIMAX_THREADS", threads)
+    calls = design_tracker(risk_mod)
+    cfg = ExperimentConfig(
+        n=40, p=20, k=2, sigma=1.0, eps=0.1, estimator_id="oracle", amplitudes=(1.0, 3.0), reps=4, master_seed=5
+    )
+    reports = empirical_risks(cfg, ESTIMATOR_IDS)
+    main = threading.get_ident()
+    assert calls == [(0, int(threads), main)] * cfg.reps
+    assert set(reports) == set(ESTIMATOR_IDS)
 
 
 def test_shared_replicate_loop_draws_each_design_once(monkeypatch):
     drawn = []
     real_gen_design = risk_mod.gen_design
 
-    def counting_gen_design(n, p, seed):
+    def counting_gen_design(n, p, seed, threads=1):
         drawn.append(seed)
-        return real_gen_design(n, p, seed)
+        return real_gen_design(n, p, seed, threads)
 
     monkeypatch.setattr(risk_mod, "gen_design", counting_gen_design)
     cfg = ExperimentConfig(
