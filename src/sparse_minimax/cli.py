@@ -30,7 +30,7 @@ from .config import (
 )
 from .design import gen_design, make_signal, synthesize
 from .diagnostics import delta_consts, event_a_check
-from .estimators import CapacityError, LassoConfig, lambda_eps, lasso_fit, oracle_estimator
+from .estimators import LassoConfig, lambda_eps, lasso_fit, oracle_estimator
 from .events import (
     StochasticErrorParams,
     b_delta_check,
@@ -40,15 +40,8 @@ from .events import (
     stochastic_error_event_check,
     stochastic_u_samples,
 )
-from .risk import (
-    _memory_budget,
-    empirical_risk,
-    empirical_risks,
-    minimax_denominator,
-    predicted_ratio,
-    worker_count,
-)
-from .rng import ROLE_NOISE, SeedSpec
+from .risk import empirical_risk, empirical_risks, minimax_denominator, predicted_ratio
+from .rng import ROLE_NOISE, CapacityError, SeedSpec, admit
 from .tails import REGISTRY, check_tail_bound
 
 PROOF_LEMMAS = ("gap", "stochastic-error", "l2-bound", "moments", "resolvent")
@@ -125,14 +118,10 @@ def _admit(command: str, n: int, p: int, reps: int | None, result_bytes: int, gr
     and, where the event check runs, the Gram matrix and the two copies
     that ``eigvalsh`` and ``solve`` make of it on the exact cone route."""
     need = 8 * n * p + result_bytes + (3 * 8 * min(p, n + 1) ** 2 if gram else 0)
-    budget = _memory_budget()
-    if budget is not None and need > budget:
-        at = f"n={n}, p={p}" + (f", reps={reps}" if reps is not None else "")
-        parts = "one design" + (", the per-replicate results" if reps is not None else "")
-        parts += ", a Gram matrix and two copies of it" if gram else ""
-        raise CapacityError(
-            f"{command} at {at} needs about {need} bytes ({parts}), more than the {budget} bytes available"
-        )
+    at = f"n={n}, p={p}" + (f", reps={reps}" if reps is not None else "")
+    held = "one design" + (", the per-replicate results" if reps is not None else "")
+    held += ", a Gram matrix and two copies of it" if gram else ""
+    admit(need, f"{command} at {at}", held)
 
 
 # --- simulate-risk / sweep ---------------------------------------------------
@@ -237,11 +226,19 @@ def _produce_sweep(config: dict, threads=None) -> tuple[dict[str, bytes], bool]:
 
 
 def _produce_diagnose(config: dict) -> tuple[dict[str, bytes], bool]:
-    n, p = config["n"], config["p"]
+    n, p, k, eps, restarts = (config[key] for key in ("n", "p", "k", "eps", "restarts"))
+    if n < 1 or p < 1:
+        raise ValueError(f"design dimensions must be positive, got n={n}, p={p}")
+    if not 1 <= k < p:
+        raise ValueError(f"need 1 <= k < p, got k={k}, p={p}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     _admit("diagnose-design", n, p, None, 0, gram=True)
     spec = SeedSpec(config["seed"])
-    design = gen_design(n, p, spec, worker_count())
-    report = event_a_check(design.entries, config["k"], config["eps"], restarts=config["restarts"], seed=spec)
+    design = gen_design(n, p, spec)
+    report = event_a_check(design.entries, k, eps, restarts=restarts, seed=spec)
     payload = {
         "subcommand": "diagnose-design",
         "manifest": _MANIFEST_NAME,
@@ -284,9 +281,9 @@ def _parse_grid_text(text: str) -> list[dict]:
 # --- check-lemma: proof-lemma drivers ----------------------------------------
 
 
-def _lemma_instance(settings: dict, rep: int, seed: int, threads: int):
+def _lemma_instance(settings: dict, rep: int, seed: int):
     spec = SeedSpec(seed, rep)
-    design = gen_design(settings["n"], settings["p"], spec, threads)
+    design = gen_design(settings["n"], settings["p"], spec)
     scale = settings["sigma"] * math.sqrt(2.0 * math.log(settings["p"] / settings["k"]) / settings["n"])
     signal = make_signal(settings["p"], settings["k"], settings["amplitude"] * scale, seed=spec)
     inst = synthesize(design, signal, settings["sigma"], spec)
@@ -298,21 +295,19 @@ def _lasso_level(settings: dict) -> float:
 
 
 def _map_replicates(replicate, settings: dict, reps: int, seed: int) -> list:
-    """``[replicate(settings, seed, r, threads) for r in range(reps)]``, one
+    """``[replicate(settings, seed, r) for r in range(reps)]``, one
     replicate at a time on the calling thread.
 
     Replicate r draws everything from stream r and returns only small
     values, so its n x p design is dropped before the next one is drawn.
-    ``threads`` is the risk sweep's count, SPARSE_MINIMAX_THREADS or the
-    usable CPUs: it splits each design's draw, and the list does not
-    depend on it."""
-    threads = worker_count()
-    return [replicate(settings, seed, rep, threads) for rep in range(reps)]
+    Each design's draw runs on the usable CPUs (or SPARSE_MINIMAX_THREADS),
+    and the list does not depend on them."""
+    return [replicate(settings, seed, rep) for rep in range(reps)]
 
 
-def _gap_replicate(settings: dict, seed: int, rep: int, threads: int):
+def _gap_replicate(settings: dict, seed: int, rep: int):
     """Replicate rep's resolvent report and oracle-Lasso gap check."""
-    _, inst, beta = _lemma_instance(settings, rep, seed, threads)
+    _, inst, beta = _lemma_instance(settings, rep, seed)
     X, z = inst.design.entries, inst.noise.z
     lam = _lasso_level(settings)
     res = lasso_fit(X, inst.response, LassoConfig(lam=lam))
@@ -370,13 +365,13 @@ def _resolved_delta0(settings: dict) -> float:
     return delta_consts(settings["eps"])[0]
 
 
-def _stochastic_replicate(settings: dict, seed: int, rep: int, threads: int):
+def _stochastic_replicate(settings: dict, seed: int, rep: int):
     params = StochasticErrorParams(
         _resolved_delta0(settings), settings["delta1"], settings["delta2"], settings["delta3"]
     )
     n, p, k, sigma = settings["n"], settings["p"], settings["k"], settings["sigma"]
     spec = SeedSpec(seed, rep)
-    X = gen_design(n, p, spec, threads).entries
+    X = gen_design(n, p, spec).entries
     z = sigma * spec.generator(ROLE_NOISE).standard_normal(n)
     samples = stochastic_u_samples(X, z, k, settings["u_samples"], spec)
     chk = stochastic_error_event_check(X, z, params, samples, k, sigma)
@@ -405,10 +400,10 @@ def _driver_stochastic(settings: dict, reps: int, seed: int) -> dict:
     }
 
 
-def _event_error_replicate(settings: dict, seed: int, rep: int, threads: int):
+def _event_error_replicate(settings: dict, seed: int, rep: int):
     """The Lasso's l2 error on replicate rep, or None off the conditioning
     event (no fit is made there)."""
-    spec, inst, beta = _lemma_instance(settings, rep, seed, threads)
+    spec, inst, beta = _lemma_instance(settings, rep, seed)
     holds = event_a_check(
         inst.design.entries, settings["k"], settings["eps"], restarts=settings["restarts"], seed=spec
     ).holds
@@ -491,6 +486,8 @@ def _produce_check_lemma(config: dict) -> tuple[dict[str, bytes], bool]:
     lemma = config["lemma"]
     if lemma in _PROOF_DRIVERS:
         settings, reps = config["settings"], config["reps"]
+        if reps < 1:
+            raise ValueError(f"reps must be at least 1, got {reps}")
         _admit(
             f"check-lemma --lemma {lemma}", settings["n"], settings["p"], reps, 8 * reps,
             gram=lemma in ("l2-bound", "moments"),
@@ -568,14 +565,13 @@ def _cmd_diagnose_design(args) -> int:
         "restarts": args.restarts,
         "seed": args.seed,
     }
-    if args.k >= args.p:
-        raise _UsageError(f"need k < p, got k={args.k}, p={args.p}")
+    if args.out is not None:
+        _require_out_dir(args.out)
     started = _utc_now()
     files, passed = _produce_diagnose(config)
     payload = json.loads(files["diagnose.json"])
     print(json.dumps(payload["report"], sort_keys=True, indent=2))
     if args.out is not None:
-        _require_out_dir(args.out)
         _write_run(args.out, "diagnose-design", config, files, started, args.seed)
     return 0 if passed else 2
 
@@ -595,6 +591,8 @@ def _cmd_check_lemma(args) -> int:
     else:
         known = ", ".join(list(_PROOF_DRIVERS) + sorted(REGISTRY))
         raise _UsageError(f"unknown lemma {args.lemma!r}; known: {known}")
+    if args.out is not None:
+        _require_out_dir(args.out)
     started = _utc_now()
     files, passed = _produce_check_lemma(config)
     rep = json.loads(files[f"lemma_{args.lemma}.json"])["report"]
@@ -615,7 +613,6 @@ def _cmd_check_lemma(args) -> int:
         lines.append(f"{'PASS' if rep['passed'] else 'FAIL'} ({n_pass}/{len(rep['rows'])} grid points)")
         print("\n".join(lines))
     if args.out is not None:
-        _require_out_dir(args.out)
         _write_run(args.out, "check-lemma", config, files, started, args.seed)
     return 0 if passed else 2
 

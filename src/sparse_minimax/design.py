@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import ROLE_DESIGN, ROLE_NOISE, ROLE_SUPPORT, SUBSTREAMS, SeedSpec, map_indexed, substream_edges
+from .rng import ROLE_DESIGN, ROLE_NOISE, ROLE_SUPPORT, SeedSpec, draw_ranges, worker_count
 
 
 @dataclass(frozen=True)
@@ -71,28 +71,25 @@ class Instance:
     response: np.ndarray = field(repr=False)
 
 
-def gen_design(n: int, p: int, seed: SeedSpec, threads: int = 1) -> GaussianDesign:
+def gen_design(n: int, p: int, seed: SeedSpec, threads: int | None = None) -> GaussianDesign:
     """Draw an n x p standard normal design, bit-identical for equal seeds.
 
     The design is drawn as a (p, n) C-order array, one row per column, and
-    transposed, which leaves the columns contiguous. Its p columns form the
-    16 fixed ranges of ``SeedSpec.generator``'s rule: range j holds columns
-    p*j//16 up to p*(j+1)//16 and is drawn from
-    ``seed.generator(ROLE_DESIGN, j)``, column by column. The ranges run on
-    ``min(threads, 16)`` threads (``threads`` already resolved, e.g. by
-    ``risk.worker_count``); the bytes do not depend on it.
+    transposed, which leaves the columns contiguous. Its p columns are the
+    items of ``draw_ranges``: range j is drawn from
+    ``seed.generator(ROLE_DESIGN, j)``, column by column, on the threads
+    that ``worker_count(threads)`` resolves; the bytes do not depend on
+    them. A bad thread request raises before anything is allocated.
     """
     if n < 1 or p < 1:
         raise ValueError(f"design dimensions must be positive, got n={n}, p={p}")
+    threads = worker_count(threads)
     rows = np.empty((p, n))
-    edges = substream_edges(p)
-    workers = min(threads, SUBSTREAMS)
 
-    def run(t: int) -> None:
-        for j in range(t, SUBSTREAMS, workers):
-            seed.generator(ROLE_DESIGN, j).standard_normal(out=rows[edges[j] : edges[j + 1]])
+    def fill(j: int, lo: int, hi: int, t: int) -> None:
+        seed.generator(ROLE_DESIGN, j).standard_normal(out=rows[lo:hi])
 
-    map_indexed(run, workers, workers)
+    draw_ranges(p, fill, threads)
     return GaussianDesign(n=n, p=p, entries=rows.T)
 
 

@@ -37,13 +37,6 @@ class SreEstimate:
     restarts: int
     argmin_vector: np.ndarray
 
-    def to_json(self) -> dict:
-        return {
-            "theta_upper": float(self.theta_upper),
-            "restarts": int(self.restarts),
-            "argmin_vector": [float(v) for v in self.argmin_vector],
-        }
-
 
 @dataclass(frozen=True)
 class EventAReport:

@@ -16,10 +16,7 @@ import numpy as np
 
 from . import _kernels as _k
 from ._special import norm_ppf
-
-
-class CapacityError(RuntimeError):
-    """Support enumeration would exceed the configured cap."""
+from .rng import CapacityError
 
 
 class BacktrackingError(RuntimeError):

@@ -26,14 +26,6 @@ class ResolventReport:
     contains_all: bool
     delta_emp: float
 
-    def to_json(self) -> dict:
-        return {
-            "s_star": [int(i) for i in self.s_star],
-            "k_star": int(self.k_star),
-            "contains_all": bool(self.contains_all),
-            "delta_emp": float(self.delta_emp),
-        }
-
 
 @dataclass(frozen=True)
 class StochasticErrorParams:
@@ -65,14 +57,6 @@ class StochasticErrorCheck:
     all_hold: bool
     applicable: bool
     n_samples: int
-
-    def to_json(self) -> dict:
-        return {
-            "fraction": float(self.fraction),
-            "all_hold": bool(self.all_hold),
-            "applicable": bool(self.applicable),
-            "n_samples": int(self.n_samples),
-        }
 
 
 @dataclass(frozen=True)

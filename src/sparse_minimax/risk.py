@@ -9,7 +9,6 @@ the supremum over k-sparse signals, and normalized by the target level
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,93 +31,6 @@ from .estimators import (
 from .rng import SeedSpec
 
 ESTIMATOR_IDS = ("lasso", "slope", "mle", "oracle", "aggregated")
-
-_THREADS_ENV = "SPARSE_MINIMAX_THREADS"
-
-
-def _read_cgroup_file(path: str) -> str | None:
-    """Stripped contents of a cgroup control file (or of /proc/meminfo),
-    or None if unreadable."""
-    try:
-        with open(path, encoding="ascii") as fh:
-            return fh.read().strip()
-    except (OSError, UnicodeDecodeError):
-        return None
-
-
-def _cgroup_cpu_limit() -> int | None:
-    """CPUs granted by the cgroup CPU quota, rounded up; None when no quota
-    is set. Reads cgroup v2's cpu.max, else v1's cfs quota and period."""
-    v2 = _read_cgroup_file("/sys/fs/cgroup/cpu.max")
-    if v2 is not None:
-        quota, _, period = v2.partition(" ")
-    else:
-        quota = _read_cgroup_file("/sys/fs/cgroup/cpu/cpu.cfs_quota_us") or ""
-        period = _read_cgroup_file("/sys/fs/cgroup/cpu/cpu.cfs_period_us") or ""
-    try:
-        quota_us, period_us = int(quota), int(period)
-    except ValueError:  # "max", or no cgroup files at all
-        return None
-    if quota_us <= 0 or period_us <= 0:  # v1 writes -1 for no quota
-        return None
-    return -(-quota_us // period_us)
-
-
-def _memory_budget() -> int | None:
-    """Bytes this process may use: the smaller of the cgroup memory limit
-    (v2's memory.max, else v1's limit_in_bytes) and MemAvailable from
-    /proc/meminfo; None when neither is readable."""
-    limits = []
-    raw = _read_cgroup_file("/sys/fs/cgroup/memory.max") or _read_cgroup_file(
-        "/sys/fs/cgroup/memory/memory.limit_in_bytes"
-    )
-    try:
-        limits.append(int(raw))
-    except (TypeError, ValueError):  # no cgroup files at all, or "max"
-        pass
-    for line in (_read_cgroup_file("/proc/meminfo") or "").splitlines():
-        key, _, value = line.partition(":")
-        if key == "MemAvailable":
-            try:
-                limits.append(int(value.split()[0]) * 1024)  # reported in kB
-            except (IndexError, ValueError):
-                pass
-    return min(limits) if limits else None
-
-
-def worker_count(requested: int | None = None, worker_bytes: int | None = None) -> int:
-    """Thread count for a command: SPARSE_MINIMAX_THREADS if set, otherwise
-    ``requested``, otherwise the number of CPUs this process may run on,
-    capped by the cgroup CPU quota. A command holds one design at a time
-    and uses the count inside each replicate (the design's 16 column
-    ranges, then numpy's own BLAS threads). When each thread holds
-    ``worker_bytes`` of its own (a tail-registry draw buffer), every one of
-    these is also capped by how many such threads fit in the memory budget
-    (at least one). Results never depend on this."""
-    raw = os.environ.get(_THREADS_ENV)
-    if raw is not None:
-        try:
-            count = int(raw)
-        except ValueError:
-            raise ValueError(f"{_THREADS_ENV} must be an integer, got {raw!r}") from None
-        if count < 1:
-            raise ValueError(f"{_THREADS_ENV} must be at least 1, got {raw}")
-    elif requested is not None:
-        if requested < 1:
-            raise ValueError(f"threads must be at least 1, got {requested}")
-        count = requested
-    else:
-        if hasattr(os, "sched_getaffinity"):  # Linux: honours CPU affinity
-            count = len(os.sched_getaffinity(0))
-        else:
-            count = os.cpu_count() or 1
-        limit = _cgroup_cpu_limit()
-        if limit is not None:
-            count = min(count, limit)
-    budget = _memory_budget() if worker_bytes else None
-    if budget is not None:
-        count = min(count, max(1, budget // worker_bytes))
-    return count
 
 
 @dataclass(frozen=True)
@@ -310,13 +222,13 @@ def predicted_ratio(n: int, p: int, k: int, eps: float) -> float:
     return (1.0 + eps) ** 2 + 1.0 / (2.0 * math.log(p / k))
 
 
-def _replicate_errors(config: ExperimentConfig, ids, rep: int, lam: float, seq, amps_abs, threads: int):
+def _replicate_errors(config: ExperimentConfig, ids, rep: int, lam: float, seq, amps_abs, threads: int | None):
     """Squared errors and convergence flags, each (len(ids), n_amplitudes),
     for one replicate of every estimator in ``ids``.
 
     Pure function of (config, ids, rep): the design, noise, and any support
-    draw all come from the replicate's own stream, and ``threads`` only
-    splits the design's draw. The design is drawn once, and its column
+    draw all come from the replicate's own stream, and ``threads``, the
+    command's request, only splits the design's draw. The design is drawn once, and its column
     norms, X'z, SLOPE's start step and the aggregated estimator's event
     check are computed once per replicate; each depends only on the design
     and the noise, which every amplitude shares (z is the noise role's
@@ -430,9 +342,9 @@ def empirical_risks(config: ExperimentConfig, estimator_ids, threads: int | None
     Every estimator sees the same replicates: replicate r draws its design
     once from stream r of the master seed and fits every estimator on it.
     Replicates run one at a time on the calling thread, so one design is
-    alive at a time; the resolved thread count draws each design and the
-    fits use numpy's own BLAS threads. Results land in a preallocated array
-    by index and means use numpy's pairwise sums, so each report is
+    alive at a time; ``gen_design`` resolves ``threads`` to draw each
+    design, and the fits use numpy's own BLAS threads. Results land in a
+    preallocated array by index and means use numpy's pairwise sums, so each report is
     bit-identical for any thread count and to an :func:`empirical_risk`
     run of that estimator alone. Non-converged fits are flagged and
     excluded from the means; more than 1% flagged for any estimator aborts
@@ -444,7 +356,6 @@ def empirical_risks(config: ExperimentConfig, estimator_ids, threads: int | None
     for est in ids:
         if est not in ESTIMATOR_IDS:
             raise ValueError(f"estimator ids must be among {ESTIMATOR_IDS}, got {est!r}")
-    threads = worker_count(threads)
     needs_lam = any(est in ("lasso", "oracle", "aggregated") for est in ids)
     lam = lambda_eps(config.eps, config.sigma_eff, config.n, config.p, config.k) if needs_lam else 0.0
     seq = (

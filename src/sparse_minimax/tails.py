@@ -25,10 +25,9 @@ import numpy as np
 
 from ._special import binom_tail, binom_tail_error, erfc_grid
 from .diagnostics import event_a_check
-from .estimators import CapacityError, _enum_count
+from .estimators import _enum_count
 from .events import resolvent_set
-from .risk import _memory_budget, worker_count
-from .rng import ROLE_CELL, SUBSTREAMS, SeedSpec, map_indexed, substream_edges
+from .rng import ROLE_CELL, SUBSTREAMS, SeedSpec, admit, draw_ranges, worker_count
 
 _CHUNK_BUDGET = 1_000_000  # doubles per draw buffer (8 MB)
 _QUAD_INTERVALS = 1 << 16  # trapezoid intervals for the exact order-statistic mean
@@ -95,41 +94,34 @@ def _chunked(spec: SeedSpec, slot: int, reps: int, width: int, f) -> np.ndarray:
     is the index of the block's first row and each row is one replicate.
 
     Grid cell i owns the counter slots 16i ... 16i+15 and passes
-    ``slot = 16i``; the rows are the items of ``SeedSpec.generator``'s
-    range rule, so range j is drawn row-major from
-    ``spec.generator(ROLE_CELL, slot + j)`` and the result depends on
-    neither the chunk size nor the thread count.
+    ``slot = 16i``; the rows are the items of ``draw_ranges``, range j is
+    drawn row-major from ``spec.generator(ROLE_CELL, slot + j)``, and the
+    result depends on neither the chunk size nor the thread count.
 
-    The ranges run on up to SUBSTREAMS worker threads, each with its own
-    buffer of at most _CHUNK_BUDGET doubles (one row if a row is wider),
-    allocated once here; a thread draws a block into its buffer and runs f
-    on it before drawing the next, and f may overwrite the block. Before
-    anything is allocated or drawn, the results and the buffers are
-    checked against the memory budget; CapacityError if they do not fit.
+    Each thread of ``draw_ranges`` has its own buffer of at most
+    _CHUNK_BUDGET doubles (one row if a row is wider), allocated once here;
+    it draws a block into its buffer and runs f on it before drawing the
+    next, and f may overwrite the block. The results and the buffers are
+    admitted against the memory budget before anything is allocated.
     """
-    edges = substream_edges(reps)
     step = min(-(-reps // SUBSTREAMS), max(1, _CHUNK_BUDGET // max(width, 1)))  # a range has at most ceil(reps/16) rows
     threads = min(worker_count(worker_bytes=8 * step * width), SUBSTREAMS)
-    need = 8 * reps + threads * 8 * step * width
-    budget = _memory_budget()
-    if budget is not None and need > budget:
-        raise CapacityError(
-            f"a tail-registry cell of reps={reps} rows of width {width} needs about {need} bytes "
-            f"(its results and {threads} draw buffers), more than the {budget} bytes available"
-        )
+    admit(
+        8 * reps + threads * 8 * step * width,
+        f"a tail-registry cell of reps={reps} rows of width {width}",
+        f"its results and {threads} draw buffers",
+    )
     out = np.empty(reps)
     buffers = [np.empty((step, width)) for _ in range(threads)]
 
-    def run(t: int) -> None:
-        buf = buffers[t]
-        for j in range(t, SUBSTREAMS, threads):
-            gen = spec.generator(ROLE_CELL, slot + j)
-            for pos in range(edges[j], edges[j + 1], step):
-                block = buf[: min(step, edges[j + 1] - pos)]
-                gen.standard_normal(out=block)
-                out[pos : pos + block.shape[0]] = f(block, pos)
+    def fill(j: int, lo: int, hi: int, t: int) -> None:
+        gen = spec.generator(ROLE_CELL, slot + j)
+        for pos in range(lo, hi, step):
+            block = buffers[t][: min(step, hi - pos)]
+            gen.standard_normal(out=block)
+            out[pos : pos + block.shape[0]] = f(block, pos)
 
-    map_indexed(run, threads, threads)
+    draw_ranges(reps, fill, threads)
     return out
 
 

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from sparse_minimax import design as design_mod
 from sparse_minimax.design import gen_design, make_signal, synthesize
 from sparse_minimax.rng import SeedSpec
 
@@ -31,20 +32,30 @@ def rng():
 def design_tracker(monkeypatch):
     """Wraps ``gen_design`` in the given modules and records, per call, how
     many designs drawn earlier are still alive on entry, the thread count
-    passed, and the calling thread. A design counts as alive while the
-    array that owns its memory is, so a kept view or column slice counts."""
+    the draw resolved (what ``gen_design`` hands to ``draw_ranges``), and
+    the calling thread. A design counts as alive while the array that owns
+    its memory is, so a kept view or column slice counts."""
     calls = []
     owners = []
+    resolved = []
+    real_ranges = design_mod.draw_ranges
+
+    def recording_ranges(count, fill, threads):
+        resolved.append(threads)
+        return real_ranges(count, fill, threads)
+
+    monkeypatch.setattr(design_mod, "draw_ranges", recording_ranges)
 
     def track(*modules):
         for module in modules:
             real = module.gen_design
 
-            def tracking(n, p, seed, threads=1, real=real):
-                calls.append((sum(ref() is not None for ref in owners), threads, threading.get_ident()))
-                design = real(n, p, seed, threads)
-                owners.append(weakref.ref(design.entries.base))
-                return design
+            def tracking(n, p, seed, threads=None, real=real):
+                alive = sum(ref() is not None for ref in owners)
+                drawn = real(n, p, seed, threads)
+                calls.append((alive, resolved.pop(), threading.get_ident()))
+                owners.append(weakref.ref(drawn.entries.base))
+                return drawn
 
             monkeypatch.setattr(module, "gen_design", tracking)
         return calls

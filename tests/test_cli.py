@@ -9,11 +9,11 @@ import threading
 
 import pytest
 
-from sparse_minimax import _kernels, cli, risk, tails
+from sparse_minimax import _kernels, cli, risk, rng
 from sparse_minimax.cli import PROOF_LEMMAS, _parse_grid_text, _produce_check_lemma, run
 from sparse_minimax.config import lemma_config_from_mapping
 from sparse_minimax.estimators import LassoConfig, lasso_fit
-from sparse_minimax.risk import worker_count
+from sparse_minimax.rng import worker_count
 from sparse_minimax.tails import REGISTRY
 
 RISK_CFG = """
@@ -355,14 +355,87 @@ def test_missing_out_directory(tmp_path, risk_config, capsys):
     assert "does not exist" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-lemma", "--lemma", "order_conc", "--reps", "10000"],
+        ["check-lemma", "--lemma", "gap", "--config", "{cfg}", "--reps", "2"],
+        ["diagnose-design", "--n", "40", "--p", "30", "--k", "2", "--eps", "0.1"],
+    ],
+)
+def test_a_missing_out_directory_is_refused_before_the_work(tmp_path, monkeypatch, capsys, argv):
+    def no_work(config):
+        raise AssertionError("the work ran before --out was checked")
+
+    monkeypatch.setattr(cli, "_produce_check_lemma", no_work)
+    monkeypatch.setattr(cli, "_produce_diagnose", no_work)
+    cfg = tmp_path / "lemma.cfg"
+    cfg.write_text(LEMMA_CFG)
+    argv = [a.replace("{cfg}", str(cfg)) for a in argv] + ["--out", str(tmp_path / "nope")]
+    assert run(argv) == 1
+    assert "output directory does not exist" in capsys.readouterr().err
+
+
+_DIAGNOSE = ["diagnose-design", "--n", "40", "--p", "30", "--k", "2", "--eps", "0.1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check-lemma", "--lemma", lemma, "--reps", reps], f"reps must be at least 1, got {reps}")
+        for lemma in ("gap", "resolvent", "moments")
+        for reps in ("0", "-3")
+    ]
+    + [
+        ([*_DIAGNOSE, "--k", "0"], "need 1 <= k < p, got k=0, p=30"),
+        ([*_DIAGNOSE, "--k", "30"], "need 1 <= k < p, got k=30, p=30"),
+        ([*_DIAGNOSE, "--eps", "nan"], "eps must be positive and finite, got nan"),
+        ([*_DIAGNOSE, "--eps", "-1"], "eps must be positive and finite, got -1.0"),
+        ([*_DIAGNOSE, "--restarts", "0"], "restarts must be at least 1, got 0"),
+    ],
+)
+def test_bad_arguments_are_refused_before_any_draw(tmp_path, monkeypatch, capsys, argv, message):
+    drawn = []
+    for module in (cli, risk):
+        monkeypatch.setattr(module, "gen_design", lambda *args: drawn.append(args))
+    cfg = tmp_path / "lemma.cfg"
+    cfg.write_text(LEMMA_CFG)
+    if argv[0] == "check-lemma":
+        argv = argv + ["--config", str(cfg)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert drawn == []
+
+
+@pytest.mark.parametrize(
+    "subcommand, config, message",
+    [
+        ("check-lemma", {"lemma": "gap", "reps": 0, "seed": 0}, "reps must be at least 1, got 0"),
+        ("diagnose-design", {"n": 40, "p": 30, "k": 0, "eps": 0.1, "restarts": 4, "seed": 0}, "need 1 <= k < p"),
+    ],
+)
+def test_replay_refuses_bad_arguments_before_any_draw(tmp_path, monkeypatch, capsys, subcommand, config, message):
+    drawn = []
+    monkeypatch.setattr(cli, "gen_design", lambda *args: drawn.append(args))
+    if subcommand == "check-lemma":
+        config = dict(config, settings=lemma_config_from_mapping({"n": "40", "p": "20", "k": "2", "sigma": "1.0", "eps": "0.1"}))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(
+        {"format": cli._MANIFEST_MAGIC, "version": cli.__version__, "subcommand": subcommand, "config": config, "outputs": {}}
+    ))
+    assert run(["replay", str(manifest)]) == 1
+    assert message in capsys.readouterr().err
+    assert drawn == []
+
+
 def test_out_of_memory_is_an_error_line(monkeypatch, capsys):
     import sparse_minimax.cli as cli_mod
 
-    def no_memory(n, p, seed, threads=1):
+    def no_memory(n, p, seed, threads=None):
         raise MemoryError(f"Unable to allocate {8 * n * p / 2**30:.1f} GiB for an array with shape ({p}, {n})")
 
     monkeypatch.setattr(cli_mod, "gen_design", no_memory)
-    monkeypatch.setattr(cli_mod, "_memory_budget", lambda: None)  # unknown budget: admission lets it through
+    monkeypatch.setattr(rng, "_memory_budget", lambda: None)  # unknown budget: admission lets it through
     argv = ["diagnose-design", "--n", "100000", "--p", "100000", "--k", "2", "--eps", "0.1"]
     assert run(argv) == 1
     err = capsys.readouterr().err
@@ -373,7 +446,7 @@ def test_out_of_memory_is_an_error_line(monkeypatch, capsys):
 def test_diagnose_design_is_refused_before_the_draw_when_it_cannot_fit(monkeypatch, capsys, n, p, need):
     drawn = []
     monkeypatch.setattr(cli, "gen_design", lambda *args: drawn.append(args))
-    monkeypatch.setattr(cli, "_memory_budget", lambda: need - 1)
+    monkeypatch.setattr(rng, "_memory_budget", lambda: need - 1)
     assert run(["diagnose-design", "--n", str(n), "--p", str(p), "--k", "2", "--eps", "0.1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: diagnose-design") and "Traceback" not in err
@@ -420,13 +493,13 @@ def test_replicate_commands_are_refused_before_any_draw_when_they_cannot_fit(
 
     for module in (cli, risk):
         monkeypatch.setattr(module, "gen_design", drawing)
-    monkeypatch.setattr(cli, "_memory_budget", lambda: need - 1)
+    monkeypatch.setattr(rng, "_memory_budget", lambda: need - 1)
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {command} at n=400, p=800, reps=3 needs about {need} bytes (") and "Traceback" not in err
     assert err.endswith(f"more than the {need - 1} bytes available\n")
     assert drawn == []
-    monkeypatch.setattr(cli, "_memory_budget", lambda: need)
+    monkeypatch.setattr(rng, "_memory_budget", lambda: need)
     with pytest.raises(_Drawn):
         run(argv)
 
@@ -471,8 +544,8 @@ def test_json_files_refuse_non_finite_numbers():
 def test_registry_row_is_refused_before_any_draw_when_it_cannot_fit(monkeypatch, capsys, lemma, reps, need):
     drawn = []
     monkeypatch.setenv("SPARSE_MINIMAX_THREADS", "1")
-    monkeypatch.setattr(tails.SeedSpec, "generator", lambda *args: drawn.append(args))
-    monkeypatch.setattr(tails, "_memory_budget", lambda: need - 1)
+    monkeypatch.setattr(rng.SeedSpec, "generator", lambda *args: drawn.append(args))
+    monkeypatch.setattr(rng, "_memory_budget", lambda: need - 1)
     assert run(["check-lemma", "--lemma", lemma, "--reps", str(reps)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: a tail-registry cell of ") and "Traceback" not in err
@@ -494,15 +567,15 @@ def test_gap_replicate_makes_one_design_product_for_the_oracle_and_the_resolvent
     settings = lemma_config_from_mapping(PROOF_SETTINGS)
     on_event = 0
     for rep in range(4):
-        _, inst, _ = cli._lemma_instance(settings, rep, 3, 1)
+        _, inst, _ = cli._lemma_instance(settings, rep, 3)
         calls.clear()
         lasso_fit(inst.design.entries, inst.response, LassoConfig(lam=cli._lasso_level(settings)))
         lasso_products = len(calls)
         calls.clear()
-        cli._gap_replicate(settings, 3, rep, 1)
+        cli._gap_replicate(settings, 3, rep)
         assert len(calls) == lasso_products + 1
         calls.clear()
-        fitted = cli._event_error_replicate(settings, 3, rep, 1) is not None
+        fitted = cli._event_error_replicate(settings, 3, rep) is not None
         assert len(calls) == (lasso_products if fitted else 0)
         on_event += fitted
     assert 0 < on_event < 4  # both branches of the l2 replicate ran

@@ -27,9 +27,8 @@ from sparse_minimax.risk import (
     slope_highprob_check,
     st_risk_bounds_check,
     st_risk_exact,
-    worker_count,
 )
-from sparse_minimax.rng import SeedSpec, map_indexed
+from sparse_minimax.rng import SeedSpec, worker_count
 
 
 def quad_st_risk(mu, tau):
@@ -320,8 +319,8 @@ def test_worker_count_env(monkeypatch):
 def test_worker_count_resolution(monkeypatch):
     # a pure function of the environment, the request and the CPU affinity
     monkeypatch.delenv("SPARSE_MINIMAX_THREADS", raising=False)
-    monkeypatch.setattr(risk_mod.os, "sched_getaffinity", lambda pid: {0, 2, 5})
-    monkeypatch.setattr(risk_mod, "_read_cgroup_file", lambda path: None)
+    monkeypatch.setattr(rng_mod.os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    monkeypatch.setattr(rng_mod, "_read_cgroup_file", lambda path: None)
     assert worker_count() == 3
     assert worker_count(7) == 7
     with pytest.raises(ValueError, match="threads must be at least 1"):
@@ -346,8 +345,8 @@ def test_worker_count_resolution(monkeypatch):
 )
 def test_worker_count_honours_the_cgroup_cpu_quota(monkeypatch, files, expected):
     monkeypatch.delenv("SPARSE_MINIMAX_THREADS", raising=False)
-    monkeypatch.setattr(risk_mod.os, "sched_getaffinity", lambda pid: {0, 2, 5})
-    monkeypatch.setattr(risk_mod, "_read_cgroup_file", files.get)
+    monkeypatch.setattr(rng_mod.os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    monkeypatch.setattr(rng_mod, "_read_cgroup_file", files.get)
     assert worker_count() == expected
     assert worker_count(7) == 7  # an explicit request is not capped
 
@@ -375,8 +374,8 @@ def test_worker_count_honours_the_memory_budget(monkeypatch, files, expected):
     # each worker holds one 1 GiB design; the budget is the smaller of the
     # cgroup memory limit and MemAvailable
     monkeypatch.delenv("SPARSE_MINIMAX_THREADS", raising=False)
-    monkeypatch.setattr(risk_mod.os, "sched_getaffinity", lambda pid: {0, 2, 5})
-    monkeypatch.setattr(risk_mod, "_read_cgroup_file", files.get)
+    monkeypatch.setattr(rng_mod.os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    monkeypatch.setattr(rng_mod, "_read_cgroup_file", files.get)
     assert worker_count(worker_bytes=_GB) == expected
     assert worker_count() == 3  # no per-worker size, no memory cap
     # an explicit request is clamped to the designs that fit, and so is the
@@ -390,48 +389,19 @@ def test_worker_count_honours_the_memory_budget(monkeypatch, files, expected):
     assert worker_count() == 5
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_map_indexed_returns_results_in_index_order(workers):
-    # on a pool, item 0 waits until the last item has finished, so results
-    # complete out of order; the list must still follow the index
-    count = 7
-    last_done = threading.Event()
-    finished = []
-
-    def fn(i):
-        if i == 0 and workers > 1:
-            assert last_done.wait(timeout=30)
-        finished.append(i)
-        if i == count - 1:
-            last_done.set()
-        return i * i
-
-    assert map_indexed(fn, count, workers) == [i * i for i in range(count)]
-    assert finished[-1] == (0 if workers > 1 else count - 1)
-
-
-@pytest.mark.parametrize("count, workers", [(4, 1), (0, 3), (1, 3)])
-def test_map_indexed_runs_on_the_calling_thread_without_a_pool(monkeypatch, count, workers):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
-
-    monkeypatch.setattr(rng_mod, "ThreadPoolExecutor", no_pool)
-    main = threading.get_ident()
-    assert map_indexed(lambda i: (i, threading.get_ident()), count, workers) == [(i, main) for i in range(count)]
-
-
-def test_every_parallel_draw_runs_through_map_indexed(monkeypatch):
+def test_every_parallel_draw_runs_through_draw_ranges(monkeypatch):
     # the replicate loops run on the calling thread; only a design's column
-    # ranges and a registry cell's replicate ranges go to the pool
+    # ranges and a registry cell's replicate ranges go to threads, each
+    # with the count that worker_count resolved
     callers = []
-    real = rng_mod.map_indexed
+    real = rng_mod.draw_ranges
 
-    def spy(fn, count, workers):
-        callers.append(fn.__qualname__.split(".")[0])
-        return real(fn, count, workers)
+    def spy(count, fill, threads):
+        callers.append((fill.__qualname__.split(".")[0], threads))
+        return real(count, fill, threads)
 
     for module in (design, tails):
-        monkeypatch.setattr(module, "map_indexed", spy)
+        monkeypatch.setattr(module, "draw_ranges", spy)
     monkeypatch.setenv("SPARSE_MINIMAX_THREADS", "2")
     cfg = ExperimentConfig(
         n=30, p=50, k=2, sigma=1.0, eps=0.1, estimator_id="oracle", amplitudes=(1.0,), reps=2, master_seed=3
@@ -440,7 +410,7 @@ def test_every_parallel_draw_runs_through_map_indexed(monkeypatch):
     settings = lemma_config_from_mapping({"n": "40", "p": "20", "k": "2", "sigma": "1.0", "eps": "0.1"})
     cli._produce_check_lemma({"lemma": "gap", "reps": 2, "seed": 3, "settings": settings})
     tails.check_tail_bound("chi2_lower", grid=[{"d": 5, "tau": 0.5}], reps=100)
-    assert callers == ["gen_design"] * 4 + ["_chunked"]
+    assert callers == [("gen_design", 2)] * 4 + [("_chunked", 2)]
 
 
 @pytest.mark.parametrize("requested, env, expected", [(None, None, None), (3, None, 3), (3, "2", 2)])
@@ -477,7 +447,7 @@ def test_shared_replicate_loop_draws_each_design_once(monkeypatch):
     drawn = []
     real_gen_design = risk_mod.gen_design
 
-    def counting_gen_design(n, p, seed, threads=1):
+    def counting_gen_design(n, p, seed, threads=None):
         drawn.append(seed)
         return real_gen_design(n, p, seed, threads)
 

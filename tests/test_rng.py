@@ -1,6 +1,12 @@
+import ast
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sparse_minimax
+import sparse_minimax.rng as rng_mod
 from sparse_minimax.rng import (
     ROLE_CELL,
     ROLE_DESIGN,
@@ -9,6 +15,7 @@ from sparse_minimax.rng import (
     ROLE_RESTART,
     ROLE_SUPPORT,
     SeedSpec,
+    draw_ranges,
 )
 
 ALL_ROLES = (ROLE_DESIGN, ROLE_NOISE, ROLE_SUPPORT, ROLE_RESTART, ROLE_PROBE, ROLE_CELL)
@@ -80,3 +87,70 @@ def test_master_seed_must_be_u64(bad):
 def test_negative_slot_rejected():
     with pytest.raises(ValueError):
         SeedSpec(0).generator(ROLE_DESIGN, -1)
+
+
+@pytest.mark.parametrize("count", [0, 1, 5, 16, 203])
+@pytest.mark.parametrize("threads", [1, 2, 3, 17])
+def test_draw_ranges_fills_each_range_once_by_the_rule(threads, count):
+    # range j holds items count*j//16 up to count*(j+1)//16 and runs on
+    # thread t = j mod min(threads, 16), one OS thread per t
+    seen = []
+    lock = threading.Lock()
+
+    def fill(j, lo, hi, t):
+        with lock:
+            seen.append((j, lo, hi, t, threading.get_ident()))
+
+    draw_ranges(count, fill, threads)
+    workers = min(threads, 16)
+    assert sorted(j for j, *_ in seen) == list(range(16))
+    for j, lo, hi, t, _ in seen:
+        assert (lo, hi, t) == (count * j // 16, count * (j + 1) // 16, j % workers)
+    assert [lo for _, lo, *_ in sorted(seen)] + [count] == [0] + [hi for _, _, hi, *_ in sorted(seen)]
+    assert all(len({ident for *_, t, ident in seen if t == u}) == 1 for u in range(workers))
+
+
+@pytest.mark.parametrize("count", [0, 1, 4])
+def test_draw_ranges_runs_on_the_calling_thread_with_one_thread(monkeypatch, count):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(rng_mod, "ThreadPoolExecutor", no_pool)
+    seen = []
+    draw_ranges(count, lambda j, lo, hi, t: seen.append((j, t, threading.get_ident())), 1)
+    assert seen == [(j, 0, threading.get_ident()) for j in range(16)]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_draw_ranges_raises_what_a_range_raises(threads):
+    def fill(j, lo, hi, t):
+        if j == 7:
+            raise KeyError(j)
+
+    with pytest.raises(KeyError):
+        draw_ranges(100, fill, threads)
+
+
+def _top_level_callers(tree: ast.Module, name: str) -> set[str]:
+    callers = set()
+    for node in tree.body:
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Call) and getattr(inner.func, "id", getattr(inner.func, "attr", None)) == name:
+                callers.add(getattr(node, "name", "<module>"))
+    return callers
+
+
+def test_only_rng_starts_threads_or_reads_the_machine_limits():
+    # the thread and memory policy lives in rng.py: nothing else starts a
+    # pool, reads the CPU affinity or the cgroup files, or asks for the
+    # memory budget; worker_count runs only where a draw is split
+    package = Path(sparse_minimax.__file__).resolve().parent
+    callers = {}
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if path.name != "rng.py":
+            for token in ("ThreadPoolExecutor", "sched_getaffinity", "/sys/fs/cgroup", "_memory_budget("):
+                assert token not in text, f"{path.name} holds {token}"
+        for caller in _top_level_callers(ast.parse(text), "worker_count"):
+            callers.setdefault(path.stem, set()).add(caller)
+    assert callers == {"design": {"gen_design"}, "tails": {"_chunked"}}

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparse_minimax import rng as rng_mod
 from sparse_minimax import tails
 from sparse_minimax.events import resolvent_set
 from sparse_minimax.estimators import CapacityError
@@ -348,11 +349,11 @@ def test_a_cell_that_cannot_fit_is_refused_before_it_draws(monkeypatch):
     monkeypatch.setenv("SPARSE_MINIMAX_THREADS", "1")
     reps, d = 1000, 50
     need = 8 * reps + 8 * 63 * d  # the results and one buffer of ceil(1000/16) rows
-    monkeypatch.setattr(tails, "_memory_budget", lambda: need - 1)
+    monkeypatch.setattr(rng_mod, "_memory_budget", lambda: need - 1)
     with pytest.raises(CapacityError, match=rf"reps={reps} .* needs about {need} bytes .* the {need - 1} bytes"):
         check_tail_bound("chi2_lower", grid=[{"d": d, "tau": 0.5}], reps=reps)
     assert drawn == []
-    monkeypatch.setattr(tails, "_memory_budget", lambda: need)
+    monkeypatch.setattr(rng_mod, "_memory_budget", lambda: need)
     assert check_tail_bound("chi2_lower", grid=[{"d": d, "tau": 0.5}], reps=reps).passed
     assert len(drawn) == 16
 
