@@ -23,10 +23,12 @@ import numpy as np
 from . import __version__
 from . import _kernels as _k
 from .config import (
+    LEMMA_FIELDS,
     experiment_config_from_mapping,
     experiment_config_to_mapping,
     lemma_config_from_mapping,
     load_kv,
+    parse_grid_text,
 )
 from .design import gen_design, make_signal, synthesize
 from .diagnostics import delta_consts, event_a_check
@@ -41,10 +43,8 @@ from .events import (
     stochastic_u_samples,
 )
 from .risk import empirical_risk, empirical_risks, minimax_denominator, predicted_ratio
-from .rng import ROLE_NOISE, CapacityError, SeedSpec, admit
+from .rng import CapacityError, SeedSpec, admit
 from .tails import REGISTRY, check_tail_bound
-
-PROOF_LEMMAS = ("gap", "stochastic-error", "l2-bound", "moments", "resolvent")
 
 _MANIFEST_NAME = "manifest.json"
 _MANIFEST_MAGIC = "sparse-minimax-manifest-v1"
@@ -106,6 +106,18 @@ def _write_run(out: str, subcommand: str, config, files: dict[str, bytes], start
         "outputs": {name: {"sha256": _sha256(data), "bytes": len(data)} for name, data in files.items()},
     }
     _atomic_write(os.path.join(out, _MANIFEST_NAME), _json_bytes(manifest))
+
+
+def _fields(mapping, where: str, *names: str) -> list:
+    """mapping's values for names. Manifests can be edited by hand, so a
+    mapping that is not an object or lacks one of names is refused by
+    name before any work."""
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{where} must be an object, got {type(mapping).__name__}")
+    missing = [name for name in names if name not in mapping]
+    if missing:
+        raise ValueError(f"{where} lacks {', '.join(missing)}")
+    return [mapping[name] for name in names]
 
 
 # --- memory admission --------------------------------------------------------
@@ -184,18 +196,18 @@ def _format_risk(cfg, report) -> tuple[dict[str, bytes], dict]:
 
 
 def _produce_simulate_risk(config: dict, threads=None) -> tuple[dict[str, bytes], bool]:
-    files, _ = _risk_files(config["experiment"], threads)
+    (experiment,) = _fields(config, "config", "experiment")
+    files, _ = _risk_files(experiment, threads)
     return files, True
 
 
 def _produce_sweep(config: dict, threads=None) -> tuple[dict[str, bytes], bool]:
     """One pass over the replicates fits every listed estimator on the same
     designs; each estimator's files match a simulate-risk run of it alone."""
-    estimators = config["estimators"]
-    cfgs = {
-        est: experiment_config_from_mapping(dict(config["experiment"], estimator_id=est))
-        for est in estimators
-    }
+    experiment, estimators = _fields(config, "config", "experiment", "estimators")
+    if not estimators:
+        raise ValueError("estimators must name at least one estimator")
+    cfgs = {est: experiment_config_from_mapping(dict(experiment, estimator_id=est)) for est in estimators}
     # every estimator config shares n, p, k, sigma, reps and the seed
     cfg = cfgs[estimators[0]]
     _admit_risk("sweep", cfg, estimators)
@@ -214,7 +226,7 @@ def _produce_sweep(config: dict, threads=None) -> tuple[dict[str, bytes], bool]:
     sweep_summary = {
         "subcommand": "sweep",
         "manifest": _MANIFEST_NAME,
-        "experiment": config["experiment"],
+        "experiment": experiment,
         "estimators": combined,
         "denominator": minimax_denominator(cfg.n, cfg.p, cfg.k, cfg.sigma_eff),
     }
@@ -226,7 +238,7 @@ def _produce_sweep(config: dict, threads=None) -> tuple[dict[str, bytes], bool]:
 
 
 def _produce_diagnose(config: dict) -> tuple[dict[str, bytes], bool]:
-    n, p, k, eps, restarts = (config[key] for key in ("n", "p", "k", "eps", "restarts"))
+    n, p, k, eps, restarts, seed = _fields(config, "config", "n", "p", "k", "eps", "restarts", "seed")
     if n < 1 or p < 1:
         raise ValueError(f"design dimensions must be positive, got n={n}, p={p}")
     if not 1 <= k < p:
@@ -236,7 +248,7 @@ def _produce_diagnose(config: dict) -> tuple[dict[str, bytes], bool]:
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     _admit("diagnose-design", n, p, None, 0, gram=True)
-    spec = SeedSpec(config["seed"])
+    spec = SeedSpec(seed)
     design = gen_design(n, p, spec)
     report = event_a_check(design.entries, k, eps, restarts=restarts, seed=spec)
     payload = {
@@ -248,40 +260,13 @@ def _produce_diagnose(config: dict) -> tuple[dict[str, bytes], bool]:
     return {"diagnose.json": _json_bytes(payload)}, bool(report.holds)
 
 
-# --- check-lemma: registry rows ----------------------------------------------
-
-
-def _parse_grid_text(text: str) -> list[dict]:
-    """Grid file: one point per line, comma-separated key=value pairs.
-    Integer-looking values become ints, the rest floats."""
-    points = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        point = {}
-        for part in line.split(","):
-            if "=" not in part:
-                raise ValueError(f"grid line {lineno}: expected key=value, got {part.strip()!r}")
-            key, value = part.split("=", 1)
-            key, value = key.strip(), value.strip()
-            try:
-                point[key] = int(value)
-            except ValueError:
-                try:
-                    point[key] = float(value)
-                except ValueError:
-                    raise ValueError(f"grid line {lineno}: {value!r} is not a number") from None
-        points.append(point)
-    if not points:
-        raise ValueError("grid file holds no points")
-    return points
-
-
 # --- check-lemma: proof-lemma drivers ----------------------------------------
 
 
 def _lemma_instance(settings: dict, rep: int, seed: int):
+    """Replicate rep's instance, drawn from stream rep. The drivers run one
+    replicate at a time on the calling thread and keep only small values,
+    so each design is dropped before the next one is drawn."""
     spec = SeedSpec(seed, rep)
     design = gen_design(settings["n"], settings["p"], spec)
     scale = settings["sigma"] * math.sqrt(2.0 * math.log(settings["p"] / settings["k"]) / settings["n"])
@@ -292,17 +277,6 @@ def _lemma_instance(settings: dict, rep: int, seed: int):
 
 def _lasso_level(settings: dict) -> float:
     return lambda_eps(settings["eps"], settings["sigma"], settings["n"], settings["p"], settings["k"])
-
-
-def _map_replicates(replicate, settings: dict, reps: int, seed: int) -> list:
-    """``[replicate(settings, seed, r) for r in range(reps)]``, one
-    replicate at a time on the calling thread.
-
-    Replicate r draws everything from stream r and returns only small
-    values, so its n x p design is dropped before the next one is drawn.
-    Each design's draw runs on the usable CPUs (or SPARSE_MINIMAX_THREADS),
-    and the list does not depend on them."""
-    return [replicate(settings, seed, rep) for rep in range(reps)]
 
 
 def _gap_replicate(settings: dict, seed: int, rep: int):
@@ -320,7 +294,7 @@ def _gap_replicate(settings: dict, seed: int, rep: int):
 def _driver_gap(settings: dict, reps: int, seed: int) -> dict:
     contained = vacuous = violations = 0
     min_margin = math.inf
-    for rr, gc in _map_replicates(_gap_replicate, settings, reps, seed):
+    for rr, gc in (_gap_replicate(settings, seed, rep) for rep in range(reps)):
         contained += rr.contains_all
         if gc.vacuous:
             vacuous += 1
@@ -344,7 +318,7 @@ def _driver_gap(settings: dict, reps: int, seed: int) -> dict:
 def _driver_resolvent(settings: dict, reps: int, seed: int) -> dict:
     contained = 0
     deltas = []
-    for rr, _ in _map_replicates(_gap_replicate, settings, reps, seed):
+    for rr, _ in (_gap_replicate(settings, seed, rep) for rep in range(reps)):
         contained += rr.contains_all
         deltas.append(rr.delta_emp)
     rate = contained / reps
@@ -369,25 +343,32 @@ def _stochastic_replicate(settings: dict, seed: int, rep: int):
     params = StochasticErrorParams(
         _resolved_delta0(settings), settings["delta1"], settings["delta2"], settings["delta3"]
     )
-    n, p, k, sigma = settings["n"], settings["p"], settings["k"], settings["sigma"]
-    spec = SeedSpec(seed, rep)
-    X = gen_design(n, p, spec).entries
-    z = sigma * spec.generator(ROLE_NOISE).standard_normal(n)
+    spec, inst, _ = _lemma_instance(settings, rep, seed)
+    X, z, k = inst.design.entries, inst.noise.z, settings["k"]
     samples = stochastic_u_samples(X, z, k, settings["u_samples"], spec)
-    chk = stochastic_error_event_check(X, z, params, samples, k, sigma)
+    chk = stochastic_error_event_check(X, z, params, samples, k, settings["sigma"])
     return chk.applicable, chk.all_hold
+
+
+def _rate_check(hits: int, count: int, level: float) -> tuple:
+    """The rate of hits among count informative replicates (None when there
+    are none), its slack of three binomial standard errors at level, and
+    whether it passes: some replicate informed it and it is at most level
+    plus slack."""
+    slack = 3.0 * math.sqrt(level * (1.0 - level) / count) if count else 0.0
+    rate = hits / count if count else None
+    return rate, slack, count > 0 and rate <= level + slack
 
 
 def _driver_stochastic(settings: dict, reps: int, seed: int) -> dict:
     applicable = failures = 0
-    for is_applicable, all_hold in _map_replicates(_stochastic_replicate, settings, reps, seed):
+    for is_applicable, all_hold in (_stochastic_replicate(settings, seed, rep) for rep in range(reps)):
         if not is_applicable:
             continue
         applicable += 1
         failures += not all_hold
     level = settings["delta3"]
-    slack = 3.0 * math.sqrt(level * (1.0 - level) / applicable) if applicable else 0.0
-    rate = failures / applicable if applicable else None
+    rate, slack, passed = _rate_check(failures, applicable, level)
     return {
         "lemma": "stochastic-error",
         "reps": reps,
@@ -396,7 +377,7 @@ def _driver_stochastic(settings: dict, reps: int, seed: int) -> dict:
         "failure_rate": rate,
         "level": level,
         "slack": slack,
-        "passed": applicable > 0 and rate <= level + slack,
+        "passed": passed,
     }
 
 
@@ -421,15 +402,14 @@ def _driver_l2(settings: dict, reps: int, seed: int) -> dict:
     )
     on_event = violations = 0
     worst = 0.0
-    for err in _map_replicates(_event_error_replicate, settings, reps, seed):
+    for err in (_event_error_replicate(settings, seed, rep) for rep in range(reps)):
         if err is None:
             continue
         on_event += 1
         worst = max(worst, err)
         violations += err > bound
     level = settings["delta3"]
-    slack = 3.0 * math.sqrt(level * (1.0 - level) / on_event) if on_event else 0.0
-    rate = violations / on_event if on_event else None
+    rate, slack, passed = _rate_check(violations, on_event, level)
     return {
         "lemma": "l2-bound",
         "reps": reps,
@@ -440,7 +420,7 @@ def _driver_l2(settings: dict, reps: int, seed: int) -> dict:
         "worst_error": worst,
         "level": level,
         "slack": slack,
-        "passed": on_event > 0 and rate <= level + slack,
+        "passed": passed,
     }
 
 
@@ -453,7 +433,8 @@ def _driver_moments(settings: dict, reps: int, seed: int) -> dict:
     )
     vals = np.zeros(reps)
     on_event = 0
-    for rep, err in enumerate(_map_replicates(_event_error_replicate, settings, reps, seed)):
+    for rep in range(reps):
+        err = _event_error_replicate(settings, seed, rep)
         if err is None:
             continue  # the moment carries the event indicator: off-event terms are 0
         on_event += 1
@@ -480,29 +461,27 @@ _PROOF_DRIVERS = {
     "moments": _driver_moments,
 }
 
+PROOF_LEMMAS = tuple(_PROOF_DRIVERS)
+
 
 def _produce_check_lemma(config: dict) -> tuple[dict[str, bytes], bool]:
     """A proof-lemma driver's result, or a tail-registry row's report."""
-    lemma = config["lemma"]
+    lemma, reps, seed = _fields(config, "config", "lemma", "reps", "seed")
     if lemma in _PROOF_DRIVERS:
-        settings, reps = config["settings"], config["reps"]
+        (settings,) = _fields(config, "config", "settings")
+        _fields(settings, "config settings", *LEMMA_FIELDS)
         if reps < 1:
             raise ValueError(f"reps must be at least 1, got {reps}")
         _admit(
             f"check-lemma --lemma {lemma}", settings["n"], settings["p"], reps, 8 * reps,
             gram=lemma in ("l2-bound", "moments"),
         )
-        report = _PROOF_DRIVERS[lemma](settings, reps, config["seed"])
+        report = _PROOF_DRIVERS[lemma](settings, reps, seed)
         passed = bool(report["passed"])
     else:
-        tail = check_tail_bound(lemma, grid=config.get("grid"), reps=config["reps"], seed=config["seed"])
+        tail = check_tail_bound(lemma, grid=config.get("grid"), reps=reps, seed=seed)
         report, passed = tail.to_json(), tail.passed
-    payload = {
-        "subcommand": "check-lemma",
-        "manifest": _MANIFEST_NAME,
-        "config": config,
-        "report": report,
-    }
+    payload = {"subcommand": "check-lemma", "manifest": _MANIFEST_NAME, "config": config, "report": report}
     return {f"lemma_{lemma}.json": _json_bytes(payload)}, passed
 
 
@@ -514,19 +493,37 @@ _PRODUCERS = {
 }
 
 
+# --- the run path --------------------------------------------------------------
+
+
+def _run_command(subcommand: str, config: dict, out: str | None, **options) -> tuple[dict[str, bytes], bool]:
+    """The one run path: check ``out`` when given, stamp the start, produce
+    the files from config (the producer checks it, as in ``replay``) and
+    write them with the manifest into ``out``."""
+    if out is not None:
+        _require_out_dir(out)
+    started = _utc_now()
+    files, passed = _PRODUCERS[subcommand](config, **options)
+    if out is not None:
+        seed = config["seed"] if "seed" in config else int(config["experiment"]["master_seed"])
+        _write_run(out, subcommand, config, files, started, seed)
+    return files, passed
+
+
 # --- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_simulate_risk(args) -> int:
-    _require_out_dir(args.out)
+def _experiment_mapping(args) -> dict[str, str]:
     mapping = load_kv(args.config)
     if args.seed is not None:
         mapping["master_seed"] = str(args.seed)
-    cfg = experiment_config_from_mapping(mapping)  # fail before any work
-    started = _utc_now()
+    return mapping
+
+
+def _cmd_simulate_risk(args) -> int:
+    cfg = experiment_config_from_mapping(_experiment_mapping(args))
     config = {"experiment": experiment_config_to_mapping(cfg)}
-    files, _ = _produce_simulate_risk(config, threads=args.threads)
-    _write_run(args.out, "simulate-risk", config, files, started, cfg.master_seed)
+    files, _ = _run_command("simulate-risk", config, args.out, threads=args.threads)
     summary = json.loads(files[f"summary_{cfg.estimator_id}.json"])
     print(f"estimator={cfg.estimator_id} minimax_ratio={summary['minimax_ratio']:.6g} "
           f"flagged={summary['flagged']} outputs={args.out}")
@@ -534,21 +531,11 @@ def _cmd_simulate_risk(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    _require_out_dir(args.out)
-    mapping = load_kv(args.config)
-    if args.seed is not None:
-        mapping["master_seed"] = str(args.seed)
+    experiment = _experiment_mapping(args)
+    experiment.pop("estimator_id", None)
     estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
-    if not estimators:
-        raise _UsageError("--estimators must name at least one estimator")
-    base = dict(mapping)
-    base.pop("estimator_id", None)
-    for est in estimators:
-        experiment_config_from_mapping(dict(base, estimator_id=est))  # validate all up front
-    started = _utc_now()
-    config = {"experiment": base, "estimators": estimators}
-    files, _ = _produce_sweep(config, threads=args.threads)
-    _write_run(args.out, "sweep", config, files, started, int(base["master_seed"]))
+    config = {"experiment": experiment, "estimators": estimators}
+    files, _ = _run_command("sweep", config, args.out, threads=args.threads)
     summary = json.loads(files["sweep_summary.json"])
     for est in estimators:
         print(f"estimator={est} minimax_ratio={summary['estimators'][est]['minimax_ratio']:.6g}")
@@ -557,44 +544,31 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_diagnose_design(args) -> int:
-    config = {
-        "n": args.n,
-        "p": args.p,
-        "k": args.k,
-        "eps": args.eps,
-        "restarts": args.restarts,
-        "seed": args.seed,
-    }
-    if args.out is not None:
-        _require_out_dir(args.out)
-    started = _utc_now()
-    files, passed = _produce_diagnose(config)
-    payload = json.loads(files["diagnose.json"])
-    print(json.dumps(payload["report"], sort_keys=True, indent=2))
-    if args.out is not None:
-        _write_run(args.out, "diagnose-design", config, files, started, args.seed)
+    config = {"n": args.n, "p": args.p, "k": args.k, "eps": args.eps, "restarts": args.restarts, "seed": args.seed}
+    files, passed = _run_command("diagnose-design", config, args.out)
+    print(json.dumps(json.loads(files["diagnose.json"])["report"], sort_keys=True, indent=2))
     return 0 if passed else 2
 
 
 def _cmd_check_lemma(args) -> int:
+    config = {"lemma": args.lemma, "reps": args.reps, "seed": args.seed}
     if args.lemma in _PROOF_DRIVERS:
         if args.config is None:
             raise _UsageError(f"--lemma {args.lemma} needs --config with the instance settings")
-        settings = lemma_config_from_mapping(load_kv(args.config))
-        config = {"lemma": args.lemma, "reps": args.reps, "seed": args.seed, "settings": settings}
+        if args.grid is not None:
+            raise _UsageError(f"--grid applies to tail-registry rows only, not to --lemma {args.lemma}")
+        config["settings"] = lemma_config_from_mapping(load_kv(args.config))
     elif args.lemma in REGISTRY:
-        grid = None
+        if args.config is not None:
+            raise _UsageError(f"--config applies to proof lemmas only, not to --lemma {args.lemma}")
+        config["grid"] = None
         if args.grid is not None:
             with open(args.grid, encoding="utf-8") as fh:
-                grid = _parse_grid_text(fh.read())
-        config = {"lemma": args.lemma, "reps": args.reps, "seed": args.seed, "grid": grid}
+                config["grid"] = parse_grid_text(fh.read())
     else:
         known = ", ".join(list(_PROOF_DRIVERS) + sorted(REGISTRY))
         raise _UsageError(f"unknown lemma {args.lemma!r}; known: {known}")
-    if args.out is not None:
-        _require_out_dir(args.out)
-    started = _utc_now()
-    files, passed = _produce_check_lemma(config)
+    files, passed = _run_command("check-lemma", config, args.out)
     rep = json.loads(files[f"lemma_{args.lemma}.json"])["report"]
     if args.lemma in _PROOF_DRIVERS:
         print(json.dumps(rep, sort_keys=True, indent=2))
@@ -612,8 +586,6 @@ def _cmd_check_lemma(args) -> int:
         n_pass = sum(r["passed"] for r in rep["rows"])
         lines.append(f"{'PASS' if rep['passed'] else 'FAIL'} ({n_pass}/{len(rep['rows'])} grid points)")
         print("\n".join(lines))
-    if args.out is not None:
-        _write_run(args.out, "check-lemma", config, files, started, args.seed)
     return 0 if passed else 2
 
 
@@ -625,34 +597,27 @@ def _cmd_replay(args) -> int:
         raise _UsageError(f"cannot read manifest: {exc}") from None
     except json.JSONDecodeError as exc:
         raise _UsageError(f"manifest is not valid JSON: {exc}") from None
-    if manifest.get("format") != _MANIFEST_MAGIC:
+    if not isinstance(manifest, dict) or manifest.get("format") != _MANIFEST_MAGIC:
         raise _UsageError(f"not a run manifest: {args.manifest}")
     if manifest.get("version") != __version__:
-        print(
-            f"warning: manifest version {manifest.get('version')} != {__version__}; comparing anyway",
-            file=sys.stderr,
-        )
-
-    subcommand = manifest["subcommand"]
-    producer = _PRODUCERS.get(subcommand)
-    if producer is None:
+        print(f"warning: manifest version {manifest.get('version')} != {__version__}; comparing anyway", file=sys.stderr)
+    subcommand, config, outputs = _fields(manifest, "manifest", "subcommand", "config", "outputs")
+    if subcommand not in _PRODUCERS:
         raise _UsageError(f"manifest names unknown subcommand {subcommand!r}")
-
-    files, _ = producer(manifest["config"])
+    files, _ = _PRODUCERS[subcommand](config)
     base = os.path.dirname(os.path.abspath(args.manifest))
     mismatched = []
-    for name in manifest["outputs"]:
+    for name in outputs:
         path = os.path.join(base, name)
         if not os.path.exists(path):
             print(f"missing output file: {path}", file=sys.stderr)
             return 1
         with open(path, "rb") as fh:
-            on_disk = fh.read()
-        if files.get(name) != on_disk:
-            mismatched.append(name)
+            if files.get(name) != fh.read():
+                mismatched.append(name)
     for name in mismatched:
         print(f"mismatch: {name}")
-    print(f"replay: {len(manifest['outputs']) - len(mismatched)}/{len(manifest['outputs'])} files identical")
+    print(f"replay: {len(outputs) - len(mismatched)}/{len(outputs)} files identical")
     return 2 if mismatched else 0
 
 
@@ -715,10 +680,7 @@ def run(argv) -> int:
         return 1
     try:
         return args.handler(args)
-    except (_UsageError, ValueError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (_UsageError, ValueError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -1,4 +1,4 @@
-"""Flat ``key = value`` config files and their typed interpretations.
+"""Flat ``key = value`` config and grid files and their typed interpretations.
 
 The format is a diff-friendly line protocol: one assignment per line,
 ``#`` comments, no nesting, no quoting. Values keep their exact text until
@@ -13,28 +13,59 @@ import math
 from .risk import ExperimentConfig
 
 
-def parse_kv_text(text: str) -> dict[str, str]:
-    """Parse flat assignments; blank lines and '#' comments are skipped.
-
-    Raises ValueError on a line without '=' or a repeated key (repeats are
-    ambiguous in a manifest, so they are rejected rather than resolved).
-    """
-    out: dict[str, str] = {}
+def _lines(text: str):
+    """(number, text) of each line that is not blank once its '#' comment is cut."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        value = value.strip()
-        if not key:
-            raise ValueError(f"line {lineno}: empty key")
-        if key in out:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        out[key] = value
+        if line:
+            yield lineno, line
+
+
+def _assign(out: dict[str, str], where: str, text: str) -> None:
+    """Add one ``key = value`` to out. A text without '=', an empty key or
+    a repeated key (ambiguous in a manifest, so rejected rather than
+    resolved) raises ValueError naming where."""
+    if "=" not in text:
+        raise ValueError(f"{where}: expected 'key = value', got {text.strip()!r}")
+    key, value = (part.strip() for part in text.split("=", 1))
+    if not key:
+        raise ValueError(f"{where}: empty key")
+    if key in out:
+        raise ValueError(f"{where}: duplicate key {key!r}")
+    out[key] = value
+
+
+def parse_kv_text(text: str) -> dict[str, str]:
+    """Flat assignments, one per line; blank lines and '#' comments are skipped."""
+    out: dict[str, str] = {}
+    for lineno, line in _lines(text):
+        _assign(out, f"line {lineno}", line)
     return out
+
+
+def _grid_number(lineno: int, value: str) -> int | float:
+    try:
+        return int(value)
+    except ValueError:
+        try:
+            return float(value)
+        except ValueError:
+            raise ValueError(f"grid line {lineno}: {value!r} is not a number") from None
+
+
+def parse_grid_text(text: str) -> list[dict]:
+    """Grid file: one point per line, comma-separated assignments read by
+    ``parse_kv_text``'s rules. Integer-looking values become ints, the
+    rest floats."""
+    points = []
+    for lineno, line in _lines(text):
+        point: dict[str, str] = {}
+        for part in line.split(","):
+            _assign(point, f"grid line {lineno}", part)
+        points.append({key: _grid_number(lineno, value) for key, value in point.items()})
+    if not points:
+        raise ValueError("grid file holds no points")
+    return points
 
 
 def load_kv(path: str) -> dict[str, str]:
@@ -145,6 +176,9 @@ _LEMMA_OPTIONAL = {
     "q": (_coerce_float, 2.0),
     "restarts": (_coerce_int, 16),
 }
+
+# every key of the settings that lemma_config_from_mapping returns
+LEMMA_FIELDS = (*_LEMMA_REQUIRED, *_LEMMA_OPTIONAL)
 
 
 def lemma_config_from_mapping(mapping: dict[str, str]) -> dict:

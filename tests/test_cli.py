@@ -1,17 +1,19 @@
 """End-to-end command behavior through run(): exit codes, file outputs,
 manifest integrity, and byte-exact replay."""
 
+import ast
 import dataclasses
 import hashlib
 import json
 import math
+import pathlib
 import threading
 
 import pytest
 
 from sparse_minimax import _kernels, cli, risk, rng
-from sparse_minimax.cli import PROOF_LEMMAS, _parse_grid_text, _produce_check_lemma, run
-from sparse_minimax.config import lemma_config_from_mapping
+from sparse_minimax.cli import PROOF_LEMMAS, _produce_check_lemma, run
+from sparse_minimax.config import lemma_config_from_mapping, parse_grid_text
 from sparse_minimax.estimators import LassoConfig, lasso_fit
 from sparse_minimax.rng import worker_count
 from sparse_minimax.tails import REGISTRY
@@ -428,6 +430,100 @@ def test_replay_refuses_bad_arguments_before_any_draw(tmp_path, monkeypatch, cap
     assert drawn == []
 
 
+_EXPERIMENT = {"n": "30", "p": "12", "k": "2", "sigma": "1.0", "eps": "0.1", "amplitudes": "2.0", "reps": "2", "master_seed": "1"}
+_LEMMA_SETTINGS = lemma_config_from_mapping({"n": "40", "p": "20", "k": "2", "sigma": "1.0", "eps": "0.1"})
+
+
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        ({"subcommand": "sweep", "config": {"experiment": _EXPERIMENT, "estimators": []}},
+         "estimators must name at least one estimator"),
+        ({"subcommand": "sweep"}, "manifest lacks config"),
+        ({"subcommand": "simulate-risk", "config": [_EXPERIMENT]}, "config must be an object, got list"),
+        ({"subcommand": "check-lemma", "config": {"lemma": "gap", "reps": 3, "seed": 0}}, "config lacks settings"),
+        ({"subcommand": "check-lemma", "config": {"lemma": "gap", "reps": 3, "seed": 0,
+                                                  "settings": {k: v for k, v in _LEMMA_SETTINGS.items() if k != "sigma"}}},
+         "config settings lacks sigma"),
+        ({"subcommand": "diagnose-design", "config": {"n": 40, "p": 30, "k": 2, "restarts": 4, "seed": 0}},
+         "config lacks eps"),
+    ],
+)
+def test_replay_refuses_a_malformed_manifest_by_name_before_any_draw(tmp_path, monkeypatch, capsys, manifest, message):
+    drawn = []
+    for module in (cli, risk):
+        monkeypatch.setattr(module, "gen_design", lambda *args: drawn.append(args))
+    monkeypatch.setattr(rng.SeedSpec, "generator", lambda *args: drawn.append(args))
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"format": cli._MANIFEST_MAGIC, "version": cli.__version__, "outputs": {}, **manifest}))
+    assert run(["replay", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert drawn == []
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["check-lemma", "--lemma", "gap", "--config", "{cfg}", "--grid", "{grid}"], "--grid"),
+        (["check-lemma", "--lemma", "gauss_max", "--config", "{cfg}"], "--config"),
+        (["check-lemma", "--lemma", "gauss_max", "--config", "{cfg}", "--grid", "{grid}"], "--config"),
+    ],
+)
+def test_check_lemma_refuses_an_option_that_does_not_apply(tmp_path, monkeypatch, capsys, argv, option):
+    # before, each ran, ignored the option and exited 0
+    drawn = []
+    monkeypatch.setattr(cli, "gen_design", lambda *args: drawn.append(args))
+    monkeypatch.setattr(rng.SeedSpec, "generator", lambda *args: drawn.append(args))
+    cfg = tmp_path / "lemma.cfg"
+    cfg.write_text(LEMMA_CFG)
+    grid = tmp_path / "grid.txt"
+    grid.write_text("p = 50, u = 0.5\n")
+    argv = [a.replace("{cfg}", str(cfg)).replace("{grid}", str(grid)) for a in argv] + ["--reps", "300"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option} applies to ") and argv[2] in err
+    assert drawn == []
+
+
+def test_sweep_refuses_an_empty_estimator_list_by_name(tmp_path, risk_config, capsys):
+    assert run(["sweep", "--config", risk_config, "--estimators", " , ", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: estimators must name at least one estimator\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "risk.cfg"]
+
+
+def _callers(source: str, name: str) -> set[str]:
+    """The top-level functions of source that call name, or index it and
+    call the result (a table of functions)."""
+    callers = set()
+    for fn in ast.parse(source).body:
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func.value if isinstance(node.func, ast.Subscript) else node.func
+                if isinstance(func, ast.Name) and func.id == name:
+                    callers.add(fn.name)
+    return callers
+
+
+def test_one_function_runs_a_command():
+    # the handlers build configs and print; checking --out, stamping the
+    # start, producing and writing happen in _run_command (and replay
+    # produces and compares)
+    source = pathlib.Path(cli.__file__).read_text(encoding="utf-8")
+    assert _callers(source, "_require_out_dir") == {"_run_command"}
+    assert _callers(source, "_write_run") == {"_run_command"}
+    assert _callers(source, "_utc_now") == {"_run_command", "_write_run"}
+    assert _callers(source, "_PRODUCERS") == {"_run_command", "_cmd_replay"}
+    for producer in cli._PRODUCERS.values():
+        assert not any(name.startswith("_cmd_") for name in _callers(source, producer.__name__))
+    # one key = value splitter, in the module that owns the file formats
+    package = pathlib.Path(cli.__file__).parent
+    splitting = sorted(path.name for path in package.glob("*.py") if 'split("=", 1)' in path.read_text(encoding="utf-8"))
+    assert splitting == ["config.py"]
+
+
 def test_out_of_memory_is_an_error_line(monkeypatch, capsys):
     import sparse_minimax.cli as cli_mod
 
@@ -588,14 +684,19 @@ def test_unknown_flag_and_missing_subcommand(capsys):
 
 
 def test_grid_text_parser():
-    points = _parse_grid_text("# comment\np = 10, u = 0.5\n\nd=3,tau=0.2\n")
+    points = parse_grid_text("# comment\np = 10, u = 0.5\n\nd=3,tau=0.2\n")
     assert points == [{"p": 10, "u": 0.5}, {"d": 3, "tau": 0.2}]
     with pytest.raises(ValueError, match="line 1"):
-        _parse_grid_text("p 10\n")
+        parse_grid_text("p 10\n")
     with pytest.raises(ValueError):
-        _parse_grid_text("p = ten\n")
+        parse_grid_text("p = ten\n")
     with pytest.raises(ValueError):
-        _parse_grid_text("# nothing\n")
+        parse_grid_text("# nothing\n")
+    # a repeated key is refused, naming the grid line, instead of the last value winning
+    with pytest.raises(ValueError, match="^grid line 2: duplicate key 'p'$"):
+        parse_grid_text("p = 50, u = 0.5\np=100, p=200, u=0.5\n")
+    with pytest.raises(ValueError, match="^grid line 1: empty key$"):
+        parse_grid_text("= 3, u = 0.5\n")
 
 
 SETUP_PROBE = """
