@@ -24,6 +24,7 @@ from . import __version__
 from . import _kernels as _k
 from .config import (
     LEMMA_FIELDS,
+    check_lemma_settings,
     experiment_config_from_mapping,
     experiment_config_to_mapping,
     lemma_config_from_mapping,
@@ -108,15 +109,28 @@ def _write_run(out: str, subcommand: str, config, files: dict[str, bytes], start
     _atomic_write(os.path.join(out, _MANIFEST_NAME), _json_bytes(manifest))
 
 
+# the numeric config fields, by the JSON type a manifest must give them
+# (delta0 may also be null: the drivers then resolve it from eps)
+_INTEGER_FIELDS = frozenset({"reps", "seed", "n", "p", "k", "k_star", "u_samples", "restarts"})
+_REAL_FIELDS = frozenset({"eps", "sigma", "amplitude", "delta0", "delta1", "delta2", "delta3", "q"})
+
+
 def _fields(mapping, where: str, *names: str) -> list:
     """mapping's values for names. Manifests can be edited by hand, so a
-    mapping that is not an object or lacks one of names is refused by
-    name before any work."""
+    mapping that is not an object, lacks one of names or gives a numeric
+    field a value of another type is refused by name before any work."""
     if not isinstance(mapping, dict):
         raise ValueError(f"{where} must be an object, got {type(mapping).__name__}")
     missing = [name for name in names if name not in mapping]
     if missing:
         raise ValueError(f"{where} lacks {', '.join(missing)}")
+    for name in names:
+        value = mapping[name]
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if name in _INTEGER_FIELDS and not (number and isinstance(value, int)):
+            raise ValueError(f"{where} {name} must be an integer, got {value!r}")
+        if name in _REAL_FIELDS and not (number or (name == "delta0" and value is None)):
+            raise ValueError(f"{where} {name} must be a number, got {value!r}")
     return [mapping[name] for name in names]
 
 
@@ -470,6 +484,7 @@ def _produce_check_lemma(config: dict) -> tuple[dict[str, bytes], bool]:
     if lemma in _PROOF_DRIVERS:
         (settings,) = _fields(config, "config", "settings")
         _fields(settings, "config settings", *LEMMA_FIELDS)
+        check_lemma_settings(settings)
         if reps < 1:
             raise ValueError(f"reps must be at least 1, got {reps}")
         _admit(

@@ -198,15 +198,23 @@ def lemma_config_from_mapping(mapping: dict[str, str]) -> dict:
     out: dict = {key: coerce(key, mapping[key]) for key, coerce in _LEMMA_REQUIRED.items()}
     for key, (coerce, default) in _LEMMA_OPTIONAL.items():
         out[key] = coerce(key, mapping[key]) if key in mapping else default
-    for key in ("sigma", "eps", "amplitude", "delta0", "delta1", "delta2", "delta3", "q"):
-        if out[key] is not None and not math.isfinite(out[key]):
-            raise ValueError(f"config key {key!r} must be finite, got {out[key]}")
-    if not 1 <= out["k"] < out["p"]:
-        raise ValueError(f"need 1 <= k < p, got k={out['k']}, p={out['p']}")
-    if out["sigma"] <= 0:
-        raise ValueError(f"sigma must be positive for lemma checks, got {out['sigma']}")
     if out["k_star"] is None:
         out["k_star"] = 2 * out["k"]
-    if not out["k"] < out["k_star"] < out["p"]:
-        raise ValueError(f"need k < k_star < p, got k_star={out['k_star']}")
+    check_lemma_settings(out)
     return out
+
+
+def check_lemma_settings(settings: dict) -> None:
+    """Refuse, by name, typed lemma settings that a driver cannot run:
+    a non-finite real, k outside [1, p), sigma not positive, or k_star
+    outside (k, p). ``replay`` applies the same rules to a manifest's
+    settings, which can be edited by hand."""
+    for key in ("sigma", "eps", "amplitude", "delta0", "delta1", "delta2", "delta3", "q"):
+        if settings[key] is not None and not math.isfinite(settings[key]):
+            raise ValueError(f"config key {key!r} must be finite, got {settings[key]}")
+    if not 1 <= settings["k"] < settings["p"]:
+        raise ValueError(f"need 1 <= k < p, got k={settings['k']}, p={settings['p']}")
+    if settings["sigma"] <= 0:
+        raise ValueError(f"sigma must be positive for lemma checks, got {settings['sigma']}")
+    if not settings["k"] < settings["k_star"] < settings["p"]:
+        raise ValueError(f"need k < k_star < p, got k_star={settings['k_star']}")

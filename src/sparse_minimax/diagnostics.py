@@ -243,7 +243,9 @@ def _whole_space_theta(X: np.ndarray, col_sq: np.ndarray, spec: SeedSpec) -> tup
     return math.sqrt(float(xd.dot(xd))) / math.sqrt(n), d
 
 
-def sre_theta_estimate(X, k: int, c0: float, restarts: int = 64, seed: int | SeedSpec = 0) -> SreEstimate:
+def sre_theta_estimate(
+    X, k: int, c0: float, restarts: int = 64, seed: int | SeedSpec = 0, col_sq=None
+) -> SreEstimate:
     """The cone constant theta(k, c0) = min over the cone
     {||d||_1 <= (1+c0) sqrt(k) ||d||_2} of ||Xd||_2 / (sqrt(n) ||d||_2),
     exact when the cone is the whole space and an upper bound otherwise.
@@ -258,6 +260,9 @@ def sre_theta_estimate(X, k: int, c0: float, restarts: int = 64, seed: int | See
     alternate random k-sparse and dense directions. Each restart draws from
     its own stream, so the reduce is order-insensitive; exact value ties are
     broken by the lexicographically smallest witness bytes.
+
+    ``col_sq`` supplies X's finite column sums of squares when the caller
+    already has them.
     """
     X = np.asfortranarray(X, dtype=np.float64)
     n, p = X.shape
@@ -271,7 +276,8 @@ def sre_theta_estimate(X, k: int, c0: float, restarts: int = 64, seed: int | See
         raise ValueError(f"c0 must be finite and non-negative, got {c0}")
     spec = seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
     rho = (1.0 + c0) * math.sqrt(k)
-    col_sq = _finite_col_sumsq(X)
+    if col_sq is None:
+        col_sq = _finite_col_sumsq(X)
     if rho >= math.sqrt(p):
         theta, witness = _whole_space_theta(X, col_sq, spec)
         return SreEstimate(theta, 0, witness)
@@ -339,12 +345,15 @@ def event_a_check(X, k: int, eps: float, restarts: int = 64, seed: int | SeedSpe
     the descent's upper bound against the target, so it can only fail to
     reject. The report carries both measurements for the caller to judge.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asfortranarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"design must be 2-D, got shape {X.shape}")
     n = X.shape[0]
     delta0, c0 = delta_consts(eps)
-    mc = max_column_norm(X)
+    col_sq = _finite_col_sumsq(X)  # one pass serves both branches
+    mc = math.sqrt(float(col_sq.max(initial=0.0)))
     norm_ok = mc <= (1.0 + delta0) * math.sqrt(n)
-    est = sre_theta_estimate(X, k, c0, restarts=restarts, seed=seed)
+    est = sre_theta_estimate(X, k, c0, restarts=restarts, seed=seed, col_sq=col_sq)
     theta_ok = est.theta_upper >= 1.0 - delta0
     return EventAReport(
         delta0=delta0,

@@ -240,7 +240,7 @@ def lasso_fit(X, y, config: LassoConfig, b0=None, col_sq=None, xty=None, g0=None
             xty = _k.xt_dot(X, y)
         tol = 1e-8 * max(1.0, np.abs(xty).max(initial=0.0) / n)
 
-    active = np.union1d(np.flatnonzero(np.abs(g) > lam_n), np.flatnonzero(w)).astype(np.intp)
+    active = np.flatnonzero((np.abs(g) > lam_n) | (w != 0.0))
     delta_tol = 0.1 * tol * n / max(1.0, float(col_sq.max(initial=0.0)))
     total = 0
     converged = False
@@ -258,7 +258,9 @@ def lasso_fit(X, y, config: LassoConfig, b0=None, col_sq=None, xty=None, g0=None
             break
         if total >= config.max_iter:
             break
-        grown = np.union1d(active, np.flatnonzero(np.abs(g) > lam_n)).astype(np.intp)
+        violated = np.abs(g) > lam_n
+        violated[active] = True
+        grown = np.flatnonzero(violated)
         if grown.size == active.size:
             delta_tol *= 0.1
             if delta_tol < 1e-300:
@@ -479,14 +481,16 @@ def slope_fit(X, y, config: SlopeConfig, b0=None, xty=None, g0=None) -> Estimato
             break
         if total >= config.max_iter:
             break
-        new = np.setdiff1d(np.flatnonzero(pb), work, assume_unique=True)
+        outside = pb != 0.0
+        outside[work] = False
+        new = np.flatnonzero(outside)
         if new.size == 0:
             tol_inner *= 0.1
         else:
             cap = max(work.size, _MIN_GROWTH)
             if new.size > cap:
                 new = new[np.argsort(-np.abs(pb[new]), kind="stable")[:cap]]
-            work = np.union1d(work, new)
+            work = np.sort(np.concatenate((work, new)))  # disjoint
         if work.size == 0:
             # prox keeps everything at zero yet fp > tol: numerically stuck
             break

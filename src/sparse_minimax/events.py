@@ -91,7 +91,10 @@ def resolvent_set(X, z, S, k_star: int, xtz=None) -> np.ndarray:
     n, p = X.shape
     if z.shape != (n,):
         raise ValueError(f"z has shape {z.shape}, expected ({n},)")
-    base = np.unique(np.asarray(S, dtype=np.intp))
+    base = np.sort(np.asarray(S, dtype=np.intp), axis=None)
+    keep = np.ones(base.size, dtype=bool)
+    keep[1:] = base[1:] != base[:-1]
+    base = base[keep]  # np.unique(S), without np.unique's numpy.ma import
     if base.size and (base.min() < 0 or base.max() >= p):
         raise ValueError(f"S must index columns of a p={p} design")
     if k_star <= base.size:

@@ -10,13 +10,15 @@ Normal variates come from numpy's Generator.standard_normal (ziggurat); the
 method is part of the reproducibility contract and must not be swapped.
 
 A command's thread and memory policy lives here too: ``worker_count``
-resolves the thread count, ``admit`` refuses a working set the memory budget
-cannot hold, and ``draw_ranges`` runs a draw's 16 fixed ranges on threads.
-No other module starts a thread or reads the cgroup files.
+resolves the thread count, ``admit`` hands the freed C heap back to the OS
+and then refuses a working set the memory budget cannot hold, and
+``draw_ranges`` runs a draw's 16 fixed ranges on threads. No other module
+starts a thread, reads the cgroup files or trims the C heap.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -92,10 +94,34 @@ def _memory_budget() -> int | None:
     return min(limits) if limits else None
 
 
+def _c_function(name: str, restype, *argtypes):
+    """The C library's function ``name`` with its signature declared, or
+    None where the library has none."""
+    try:
+        fn = getattr(ctypes.CDLL(None), name)
+    except (OSError, AttributeError, TypeError):  # TypeError: no CDLL(None) on Windows
+        return None
+    fn.restype, fn.argtypes = restype, argtypes
+    return fn
+
+
+# glibc's, absent from other C libraries. glibc raises its mmap threshold
+# to the size of any freed mmapped block (up to 32 MiB) and its trim
+# threshold to twice that, so once a 30 MiB Gram matrix has been freed,
+# blocks of that size and the 8 MB registry draw buffers come from the
+# heap, and tens of MB of freed heap can stay with the process from one
+# command to the next.
+_malloc_trim = _c_function("malloc_trim", ctypes.c_int, ctypes.c_size_t)
+
+
 def admit(need: int, what: str, held: str) -> None:
     """Raise CapacityError, before anything is allocated or drawn, when
     ``what`` needs ``need`` bytes (``held`` lists them) and the memory
-    budget is smaller. An unreadable budget admits everything."""
+    budget is smaller. An unreadable budget admits everything. The C
+    heap's free pages go back to the OS first, so the budget counts them
+    as available and the working set starts from a trimmed heap."""
+    if _malloc_trim is not None:
+        _malloc_trim(0)
     budget = _memory_budget()
     if budget is not None and need > budget:
         raise CapacityError(

@@ -447,6 +447,25 @@ _LEMMA_SETTINGS = lemma_config_from_mapping({"n": "40", "p": "20", "k": "2", "si
          "config settings lacks sigma"),
         ({"subcommand": "diagnose-design", "config": {"n": 40, "p": 30, "k": 2, "restarts": 4, "seed": 0}},
          "config lacks eps"),
+        # before, each of these ended in a TypeError traceback
+        ({"subcommand": "check-lemma", "config": {"lemma": "gap", "reps": "1", "seed": 0, "settings": _LEMMA_SETTINGS}},
+         "config reps must be an integer, got '1'"),
+        ({"subcommand": "check-lemma", "config": {"lemma": "gap", "reps": True, "seed": 0, "settings": _LEMMA_SETTINGS}},
+         "config reps must be an integer, got True"),
+        ({"subcommand": "check-lemma", "config": {"lemma": "gap", "reps": 3, "seed": 0,
+                                                  "settings": dict(_LEMMA_SETTINGS, n=40.0)}},
+         "config settings n must be an integer, got 40.0"),
+        ({"subcommand": "check-lemma", "config": {"lemma": "gauss_max", "reps": 300, "seed": "0", "grid": None}},
+         "config seed must be an integer, got '0'"),
+        ({"subcommand": "diagnose-design", "config": {"n": 40, "p": 30, "k": 2, "eps": "0.1", "restarts": 4, "seed": 0}},
+         "config eps must be a number, got '0.1'"),
+        # before, these two drew a design and then failed: "math domain error", "sigma must be nonnegative"
+        ({"subcommand": "check-lemma", "config": {"lemma": "gap", "reps": 3, "seed": 0,
+                                                  "settings": dict(_LEMMA_SETTINGS, k=25)}},
+         "need 1 <= k < p, got k=25, p=20"),
+        ({"subcommand": "check-lemma", "config": {"lemma": "gap", "reps": 3, "seed": 0,
+                                                  "settings": dict(_LEMMA_SETTINGS, sigma=-1.0)}},
+         "sigma must be positive for lemma checks, got -1.0"),
     ],
 )
 def test_replay_refuses_a_malformed_manifest_by_name_before_any_draw(tmp_path, monkeypatch, capsys, manifest, message):
@@ -711,7 +730,7 @@ assert run(["check-lemma", "--lemma", "order_conc", "--reps", "100"]) == 0
 assert run(["check-lemma", "--lemma", "gap", "--config", lemma_config, "--reps", "2"]) == 0
 assert run(["check-lemma", "--lemma", "resolvent_sv", "--reps", "100"]) == 0
 assert run(["check-lemma", "--lemma", "sre_event", "--reps", "100"]) == 0
-print("loaded:" + ",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print("loaded:" + ",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"])))
 """
 
 
@@ -738,7 +757,9 @@ def _probe(code, *args):
 def test_cli_paths_load_no_heavy_scipy_module(tmp_path):
     # importing scipy.special alone costs 0.2-0.35 s of every command's
     # start-up; the package's special functions are numpy and math only, so
-    # no CLI path loads any part of scipy
+    # no CLI path loads any part of scipy; numpy 2.4's np.unique (and so
+    # union1d and setdiff1d) imports numpy.ma, 11-19 ms of the first fit,
+    # so the fit path builds its index sets without them
     config = tmp_path / "tiny.cfg"
     config.write_text(RISK_CFG.replace("n = 30", "n = 60").replace("p = 12", "p = 120"))
     lemma_config = tmp_path / "lemma.cfg"

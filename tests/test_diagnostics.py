@@ -385,3 +385,19 @@ def test_gram_window_validation(rng):
         gram_eig_window(X, [0, 0], 0.1)
     with pytest.raises(ValueError):
         gram_eig_window(X, [0, 9], 0.1)
+
+
+@pytest.mark.parametrize("n, p, k, eps", [(30, 12, 2, 0.1), (60, 400, 1, 2.0)])
+def test_event_check_takes_one_column_norm_pass(monkeypatch, n, p, k, eps):
+    # the first case's cone is the whole space, the second's is not
+    X = gen_design(n, p, SeedSpec(5)).entries
+    expected = event_a_check(X, k, eps, restarts=2, seed=SeedSpec(5))
+    passes = []
+    real = _kernels.col_sumsq
+    monkeypatch.setattr(_kernels, "col_sumsq", lambda x: passes.append(x.shape) or real(x))
+    report = event_a_check(X, k, eps, restarts=2, seed=SeedSpec(5))
+    assert passes == [(n, p)]
+    assert report == expected
+    assert report.max_col_norm == max_column_norm(X)
+    _, c0 = delta_consts(eps)
+    assert report.theta_upper == sre_theta_estimate(X, k, c0, restarts=2, seed=SeedSpec(5)).theta_upper

@@ -1,4 +1,8 @@
 import ast
+import os
+import platform
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -14,7 +18,9 @@ from sparse_minimax.rng import (
     ROLE_PROBE,
     ROLE_RESTART,
     ROLE_SUPPORT,
+    CapacityError,
     SeedSpec,
+    admit,
     draw_ranges,
 )
 
@@ -142,15 +148,82 @@ def _top_level_callers(tree: ast.Module, name: str) -> set[str]:
 
 def test_only_rng_starts_threads_or_reads_the_machine_limits():
     # the thread and memory policy lives in rng.py: nothing else starts a
-    # pool, reads the CPU affinity or the cgroup files, or asks for the
-    # memory budget; worker_count runs only where a draw is split
+    # pool, reads the CPU affinity or the cgroup files, asks for the memory
+    # budget or trims the C heap; worker_count runs only where a draw is split
     package = Path(sparse_minimax.__file__).resolve().parent
     callers = {}
     for path in sorted(package.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         if path.name != "rng.py":
-            for token in ("ThreadPoolExecutor", "sched_getaffinity", "/sys/fs/cgroup", "_memory_budget("):
+            for token in (
+                "ThreadPoolExecutor", "sched_getaffinity", "/sys/fs/cgroup", "_memory_budget(", "malloc_trim", "CDLL",
+            ):
                 assert token not in text, f"{path.name} holds {token}"
         for caller in _top_level_callers(ast.parse(text), "worker_count"):
             callers.setdefault(path.stem, set()).add(caller)
     assert callers == {"design": {"gen_design"}, "tails": {"_chunked"}}
+
+
+def test_admit_releases_the_free_heap_before_it_reads_the_budget(monkeypatch):
+    calls = []
+    monkeypatch.setattr(rng_mod, "_malloc_trim", lambda pad: calls.append(("trim", pad)) or 1)
+    monkeypatch.setattr(rng_mod, "_memory_budget", lambda: calls.append(("budget",)) or 1000)
+    admit(1000, "a probe", "nothing")
+    assert calls == [("trim", 0), ("budget",)]
+    with pytest.raises(CapacityError, match="a probe needs about 1001 bytes"):
+        admit(1001, "a probe", "nothing")
+
+
+def test_a_c_library_without_malloc_trim_makes_the_release_a_no_op(monkeypatch):
+    assert rng_mod._c_function("sparse_minimax_no_such_symbol", None) is None
+
+    def no_library(name):
+        raise OSError(f"cannot load {name}")
+
+    monkeypatch.setattr(rng_mod.ctypes, "CDLL", no_library)
+    assert rng_mod._c_function("malloc_trim", None) is None
+    monkeypatch.setattr(rng_mod, "_malloc_trim", None)
+    monkeypatch.setattr(rng_mod, "_memory_budget", lambda: 1000)
+    admit(1000, "a probe", "nothing")
+    with pytest.raises(CapacityError):
+        admit(1001, "a probe", "nothing")
+
+
+HEAP_PROBE = """
+import numpy as np
+from sparse_minimax import rng
+
+
+def rss_kb():
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1])
+
+
+gram = np.ones(30 * 2**20 // 8)  # mmapped; freeing it raises glibc's mmap threshold
+del gram
+buffers = [np.ones(2**20) for _ in range(6)]  # 8 MB each, now from the heap
+del buffers
+before = rss_kb()
+rng.admit(0, "a probe", "nothing")
+print(before, rss_kb())
+"""
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc" or not Path("/proc/self/status").exists(), reason="glibc on Linux only"
+)
+def test_admit_hands_freed_heap_back_to_the_os():
+    # 48 MB of freed 8 MB buffers stay in the heap until admit trims it
+    src = str(Path(sparse_minimax.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", HEAP_PROBE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = map(int, proc.stdout.split())
+    assert before - after > 32 * 1024, (before, after)
