@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .events import (
     stochastic_error_event_check,
     stochastic_u_samples,
 )
-from .risk import empirical_risk, empirical_risks, minimax_denominator, predicted_ratio
+from .risk import empirical_risk, empirical_risks, map_replicates, minimax_denominator, predicted_ratio
 from .rng import CapacityError, SeedSpec, admit
 from .tails import REGISTRY, check_tail_bound
 
@@ -113,24 +114,48 @@ def _write_run(out: str, subcommand: str, config, files: dict[str, bytes], start
 # (delta0 may also be null: the drivers then resolve it from eps)
 _INTEGER_FIELDS = frozenset({"reps", "seed", "n", "p", "k", "k_star", "u_samples", "restarts"})
 _REAL_FIELDS = frozenset({"eps", "sigma", "amplitude", "delta0", "delta1", "delta2", "delta3", "q"})
+_STRING_FIELDS = frozenset({"subcommand", "lemma"})  # the dispatch keys
+
+
+def _check_field(where: str, name: str, value) -> None:
+    """Refuse, by name, a value whose JSON type is not the field's. The
+    containers are checked down to what their readers index: experiment is
+    an object of strings, estimators a list of strings, a registry grid
+    null or a list of objects, and outputs an object of plain file names."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if name in _INTEGER_FIELDS and not (number and isinstance(value, int)):
+        raise ValueError(f"{where} {name} must be an integer, got {value!r}")
+    if name in _REAL_FIELDS and not (number or (name == "delta0" and value is None)):
+        raise ValueError(f"{where} {name} must be a number, got {value!r}")
+    if name in _STRING_FIELDS and not isinstance(value, str):
+        raise ValueError(f"{where} {name} must be a string, got {value!r}")
+    if name in ("experiment", "outputs") and not isinstance(value, dict):
+        raise ValueError(f"{where} {name} must be an object, got {value!r}")
+    if name == "experiment":
+        for key, text in value.items():
+            if not isinstance(text, str):
+                raise ValueError(f"{where} experiment {key} must be a string, got {text!r}")
+    if name == "estimators" and not (isinstance(value, list) and all(isinstance(e, str) for e in value)):
+        raise ValueError(f"{where} estimators must be a list of strings, got {value!r}")
+    if name == "grid" and not (value is None or (isinstance(value, list) and all(isinstance(pt, dict) for pt in value))):
+        raise ValueError(f"{where} grid must be null or a list of objects, got {value!r}")
+    if name == "outputs":
+        for file_name in value:  # joined to the run directory by replay
+            if file_name in ("", ".", "..") or "/" in file_name or "\\" in file_name:
+                raise ValueError(f"{where} outputs name {file_name!r} is not a plain file name")
 
 
 def _fields(mapping, where: str, *names: str) -> list:
     """mapping's values for names. Manifests can be edited by hand, so a
-    mapping that is not an object, lacks one of names or gives a numeric
-    field a value of another type is refused by name before any work."""
+    mapping that is not an object, lacks one of names or gives a field a
+    value of another JSON type is refused by name before any work."""
     if not isinstance(mapping, dict):
         raise ValueError(f"{where} must be an object, got {type(mapping).__name__}")
     missing = [name for name in names if name not in mapping]
     if missing:
         raise ValueError(f"{where} lacks {', '.join(missing)}")
     for name in names:
-        value = mapping[name]
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if name in _INTEGER_FIELDS and not (number and isinstance(value, int)):
-            raise ValueError(f"{where} {name} must be an integer, got {value!r}")
-        if name in _REAL_FIELDS and not (number or (name == "delta0" and value is None)):
-            raise ValueError(f"{where} {name} must be a number, got {value!r}")
+        _check_field(where, name, mapping[name])
     return [mapping[name] for name in names]
 
 
@@ -277,26 +302,22 @@ def _produce_diagnose(config: dict) -> tuple[dict[str, bytes], bool]:
 # --- check-lemma: proof-lemma drivers ----------------------------------------
 
 
-def _lemma_instance(settings: dict, rep: int, seed: int):
-    """Replicate rep's instance, drawn from stream rep. The drivers run one
-    replicate at a time on the calling thread and keep only small values,
-    so each design is dropped before the next one is drawn."""
-    spec = SeedSpec(seed, rep)
-    design = gen_design(settings["n"], settings["p"], spec)
+def _instance(settings: dict, spec: SeedSpec, design):
+    """The lemma instance on a replicate's design: the signal at the
+    settings' amplitude and the replicate's noise, with the dense beta."""
     scale = settings["sigma"] * math.sqrt(2.0 * math.log(settings["p"] / settings["k"]) / settings["n"])
     signal = make_signal(settings["p"], settings["k"], settings["amplitude"] * scale, seed=spec)
-    inst = synthesize(design, signal, settings["sigma"], spec)
-    return spec, inst, signal.dense()
+    return synthesize(design, signal, settings["sigma"], spec), signal.dense()
 
 
 def _lasso_level(settings: dict) -> float:
     return lambda_eps(settings["eps"], settings["sigma"], settings["n"], settings["p"], settings["k"])
 
 
-def _gap_replicate(settings: dict, seed: int, rep: int):
-    """Replicate rep's resolvent report and oracle-Lasso gap check."""
-    _, inst, beta = _lemma_instance(settings, rep, seed)
-    X, z = inst.design.entries, inst.noise.z
+def _gap_replicate(settings: dict, spec: SeedSpec, design):
+    """The replicate's resolvent report and oracle-Lasso gap check."""
+    inst, beta = _instance(settings, spec, design)
+    X, z = design.entries, inst.noise.z
     lam = _lasso_level(settings)
     res = lasso_fit(X, inst.response, LassoConfig(lam=lam))
     xtz = _k.xt_dot(X, z)  # one product for both the oracle and the resolvent set
@@ -305,10 +326,11 @@ def _gap_replicate(settings: dict, seed: int, rep: int):
     return rr, oracle_lasso_gap_check(beta, res.beta_hat, beta_o, rr)
 
 
-def _driver_gap(settings: dict, reps: int, seed: int) -> dict:
+def _gap_report(settings: dict, results: list) -> dict:
+    reps = len(results)
     contained = vacuous = violations = 0
     min_margin = math.inf
-    for rr, gc in (_gap_replicate(settings, seed, rep) for rep in range(reps)):
+    for rr, gc in results:
         contained += rr.contains_all
         if gc.vacuous:
             vacuous += 1
@@ -329,12 +351,10 @@ def _driver_gap(settings: dict, reps: int, seed: int) -> dict:
     }
 
 
-def _driver_resolvent(settings: dict, reps: int, seed: int) -> dict:
-    contained = 0
-    deltas = []
-    for rr, _ in (_gap_replicate(settings, seed, rep) for rep in range(reps)):
-        contained += rr.contains_all
-        deltas.append(rr.delta_emp)
+def _resolvent_report(settings: dict, results: list) -> dict:
+    reps = len(results)
+    contained = sum(rr.contains_all for rr, _ in results)
+    deltas = [rr.delta_emp for rr, _ in results]
     rate = contained / reps
     return {
         "lemma": "resolvent",
@@ -353,12 +373,12 @@ def _resolved_delta0(settings: dict) -> float:
     return delta_consts(settings["eps"])[0]
 
 
-def _stochastic_replicate(settings: dict, seed: int, rep: int):
+def _stochastic_replicate(settings: dict, spec: SeedSpec, design):
     params = StochasticErrorParams(
         _resolved_delta0(settings), settings["delta1"], settings["delta2"], settings["delta3"]
     )
-    spec, inst, _ = _lemma_instance(settings, rep, seed)
-    X, z, k = inst.design.entries, inst.noise.z, settings["k"]
+    inst, _ = _instance(settings, spec, design)
+    X, z, k = design.entries, inst.noise.z, settings["k"]
     samples = stochastic_u_samples(X, z, k, settings["u_samples"], spec)
     chk = stochastic_error_event_check(X, z, params, samples, k, settings["sigma"])
     return chk.applicable, chk.all_hold
@@ -374,9 +394,9 @@ def _rate_check(hits: int, count: int, level: float) -> tuple:
     return rate, slack, count > 0 and rate <= level + slack
 
 
-def _driver_stochastic(settings: dict, reps: int, seed: int) -> dict:
+def _stochastic_report(settings: dict, results: list) -> dict:
     applicable = failures = 0
-    for is_applicable, all_hold in (_stochastic_replicate(settings, seed, rep) for rep in range(reps)):
+    for is_applicable, all_hold in results:
         if not is_applicable:
             continue
         applicable += 1
@@ -385,7 +405,7 @@ def _driver_stochastic(settings: dict, reps: int, seed: int) -> dict:
     rate, slack, passed = _rate_check(failures, applicable, level)
     return {
         "lemma": "stochastic-error",
-        "reps": reps,
+        "reps": len(results),
         "applicable": applicable,
         "failures": failures,
         "failure_rate": rate,
@@ -395,20 +415,20 @@ def _driver_stochastic(settings: dict, reps: int, seed: int) -> dict:
     }
 
 
-def _event_error_replicate(settings: dict, seed: int, rep: int):
-    """The Lasso's l2 error on replicate rep, or None off the conditioning
+def _event_error_replicate(settings: dict, spec: SeedSpec, design):
+    """The Lasso's l2 error on the replicate, or None off the conditioning
     event (no fit is made there)."""
-    spec, inst, beta = _lemma_instance(settings, rep, seed)
+    inst, beta = _instance(settings, spec, design)
     holds = event_a_check(
-        inst.design.entries, settings["k"], settings["eps"], restarts=settings["restarts"], seed=spec
+        design.entries, settings["k"], settings["eps"], restarts=settings["restarts"], seed=spec
     ).holds
     if not holds:
         return None
-    res = lasso_fit(inst.design.entries, inst.response, LassoConfig(lam=_lasso_level(settings)))
+    res = lasso_fit(design.entries, inst.response, LassoConfig(lam=_lasso_level(settings)))
     return float(np.linalg.norm(res.beta_hat - beta))
 
 
-def _driver_l2(settings: dict, reps: int, seed: int) -> dict:
+def _l2_report(settings: dict, results: list) -> dict:
     d0 = _resolved_delta0(settings)
     bound = lasso_l2_bound(
         settings["k"], settings["n"], settings["p"], settings["sigma"], settings["eps"],
@@ -416,7 +436,7 @@ def _driver_l2(settings: dict, reps: int, seed: int) -> dict:
     )
     on_event = violations = 0
     worst = 0.0
-    for err in (_event_error_replicate(settings, seed, rep) for rep in range(reps)):
+    for err in results:
         if err is None:
             continue
         on_event += 1
@@ -426,7 +446,7 @@ def _driver_l2(settings: dict, reps: int, seed: int) -> dict:
     rate, slack, passed = _rate_check(violations, on_event, level)
     return {
         "lemma": "l2-bound",
-        "reps": reps,
+        "reps": len(results),
         "bound": bound,
         "on_event": on_event,
         "violations": violations,
@@ -438,7 +458,8 @@ def _driver_l2(settings: dict, reps: int, seed: int) -> dict:
     }
 
 
-def _driver_moments(settings: dict, reps: int, seed: int) -> dict:
+def _moments_report(settings: dict, results: list) -> dict:
+    reps = len(results)
     q = settings["q"]
     d0 = _resolved_delta0(settings)
     bound = lasso_moment_bound(
@@ -447,8 +468,7 @@ def _driver_moments(settings: dict, reps: int, seed: int) -> dict:
     )
     vals = np.zeros(reps)
     on_event = 0
-    for rep in range(reps):
-        err = _event_error_replicate(settings, seed, rep)
+    for rep, err in enumerate(results):
         if err is None:
             continue  # the moment carries the event indicator: off-event terms are 0
         on_event += 1
@@ -467,15 +487,24 @@ def _driver_moments(settings: dict, reps: int, seed: int) -> dict:
     }
 
 
+# each proof driver: its replicate function of (settings, spec, design), run
+# through risk.map_replicates, and the reduction of (settings, results)
 _PROOF_DRIVERS = {
-    "gap": _driver_gap,
-    "resolvent": _driver_resolvent,
-    "stochastic-error": _driver_stochastic,
-    "l2-bound": _driver_l2,
-    "moments": _driver_moments,
+    "gap": (_gap_replicate, _gap_report),
+    "resolvent": (_gap_replicate, _resolvent_report),
+    "stochastic-error": (_stochastic_replicate, _stochastic_report),
+    "l2-bound": (_event_error_replicate, _l2_report),
+    "moments": (_event_error_replicate, _moments_report),
 }
 
 PROOF_LEMMAS = tuple(_PROOF_DRIVERS)
+
+
+def _proof_report(lemma: str, settings: dict, reps: int, seed: int) -> dict:
+    """The proof driver's report over replicates 0 .. reps - 1 of seed."""
+    replicate, reduce = _PROOF_DRIVERS[lemma]
+    results = map_replicates(settings["n"], settings["p"], seed, reps, partial(replicate, settings))
+    return reduce(settings, results)
 
 
 def _produce_check_lemma(config: dict) -> tuple[dict[str, bytes], bool]:
@@ -491,10 +520,12 @@ def _produce_check_lemma(config: dict) -> tuple[dict[str, bytes], bool]:
             f"check-lemma --lemma {lemma}", settings["n"], settings["p"], reps, 8 * reps,
             gram=lemma in ("l2-bound", "moments"),
         )
-        report = _PROOF_DRIVERS[lemma](settings, reps, seed)
+        report = _proof_report(lemma, settings, reps, seed)
         passed = bool(report["passed"])
     else:
-        tail = check_tail_bound(lemma, grid=config.get("grid"), reps=reps, seed=seed)
+        grid = config.get("grid")
+        _check_field("config", "grid", grid)
+        tail = check_tail_bound(lemma, grid=grid, reps=reps, seed=seed)
         report, passed = tail.to_json(), tail.passed
     payload = {"subcommand": "check-lemma", "manifest": _MANIFEST_NAME, "config": config, "report": report}
     return {f"lemma_{lemma}.json": _json_bytes(payload)}, passed

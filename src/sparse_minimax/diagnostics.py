@@ -375,7 +375,8 @@ def gram_eig_window(X, S, delta: float) -> tuple[float, float, bool]:
     idx = np.asarray(S, dtype=np.intp)
     if idx.ndim != 1 or idx.size == 0:
         raise ValueError("S must be a nonempty 1-D index collection")
-    if np.unique(idx).size != idx.size:
+    ordered = np.sort(idx)
+    if np.any(ordered[1:] == ordered[:-1]):  # as np.unique would, without its numpy.ma import
         raise ValueError("S must not contain duplicate indices")
     if idx.min() < 0 or idx.max() >= p:
         raise ValueError(f"S must index columns of a p={p} design")

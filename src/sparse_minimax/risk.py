@@ -3,13 +3,15 @@
 The central quantity is the squared-error risk of an estimator over fresh
 Gaussian designs and noise, swept over signal amplitudes as a stand-in for
 the supremum over k-sparse signals, and normalized by the target level
-2 sigma^2 k log(p/k) / n.
+2 sigma^2 k log(p/k) / n. Every replicate design, here and in the proof
+drivers, is drawn by :func:`map_replicates`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -222,17 +224,36 @@ def predicted_ratio(n: int, p: int, k: int, eps: float) -> float:
     return (1.0 + eps) ** 2 + 1.0 / (2.0 * math.log(p / k))
 
 
-def _replicate_errors(config: ExperimentConfig, ids, rep: int, lam: float, seq, amps_abs, threads: int | None):
+def map_replicates(n: int, p: int, seed: int, reps: int, fn, threads: int | None = None) -> list:
+    """``[fn(spec, design) for each replicate r < reps]``, where replicate r
+    has ``spec = SeedSpec(seed, r)`` and the design ``gen_design(n, p, spec,
+    threads)``.
+
+    This is the one place a replicate becomes a design: the risk sweep and
+    every proof driver go through it. Replicates run one at a time on the
+    calling thread, and ``threads``, the command's request, only splits each
+    design's draw. Only fn's result is kept, so fn must return small values
+    that do not hold the design. The design is passed to fn as a temporary
+    that nothing here names, so it is freed when fn returns, before the
+    next one is drawn. (A generator of designs would not do: its frame and
+    the loop variable both hold design r while design r+1 is drawn.)
+    """
+    results = []
+    for rep in range(reps):
+        spec = SeedSpec(seed, rep)
+        results.append(fn(spec, gen_design(n, p, spec, threads)))
+    return results
+
+
+def _replicate_errors(config: ExperimentConfig, ids, lam: float, seq, amps_abs, spec: SeedSpec, design):
     """Squared errors and convergence flags, each (len(ids), n_amplitudes),
     for one replicate of every estimator in ``ids``.
 
-    Pure function of (config, ids, rep): the design, noise, and any support
-    draw all come from the replicate's own stream, and ``threads``, the
-    command's request, only splits the design's draw. The design is drawn once, and its column
-    norms, X'z, SLOPE's start step and the aggregated estimator's event
-    check are computed once per replicate; each depends only on the design
-    and the noise, which every amplitude shares (z is the noise role's
-    slot 0).
+    Pure function of (config, ids, spec, design): the noise and any support
+    draw come from the replicate's own stream. The design's column norms,
+    X'z, SLOPE's start step and the aggregated estimator's event check are
+    computed once per replicate; each depends only on the design and the
+    noise, which every amplitude shares (z is the noise role's slot 0).
 
     Every nonzero amplitude a has the same support S (``first_k``, or the
     support role's slot 0 for ``random``), and amplitude 0 has y = z, so
@@ -244,8 +265,6 @@ def _replicate_errors(config: ExperimentConfig, ids, rep: int, lam: float, seq, 
     certifies its result on a direct product. Each estimator's bytes are as
     when it runs alone.
     """
-    spec = SeedSpec(config.master_seed, rep)
-    design = gen_design(config.n, config.p, spec, threads)
     X = design.entries
     iterative = "lasso" in ids or "slope" in ids  # the fits that use col_sq and X'y
     col_sq = _k.col_sumsq(X) if iterative else None
@@ -335,27 +354,23 @@ def _risk_report(config: ExperimentConfig, est: str, errors: np.ndarray, flags: 
     )
 
 
-def empirical_risks(config: ExperimentConfig, estimator_ids, threads: int | None = None) -> dict[str, RiskReport]:
-    """Mean squared error per amplitude over fresh (X, z) draws, for each
-    estimator in ``estimator_ids`` (``config.estimator_id`` is not used).
-
-    Every estimator sees the same replicates: replicate r draws its design
-    once from stream r of the master seed and fits every estimator on it.
-    Replicates run one at a time on the calling thread, so one design is
-    alive at a time; ``gen_design`` resolves ``threads`` to draw each
-    design, and the fits use numpy's own BLAS threads. Results land in a
-    preallocated array by index and means use numpy's pairwise sums, so each report is
-    bit-identical for any thread count and to an :func:`empirical_risk`
-    run of that estimator alone. Non-converged fits are flagged and
-    excluded from the means; more than 1% flagged for any estimator aborts
-    the run.
-    """
+def _estimator_ids(estimator_ids) -> tuple[str, ...]:
     ids = tuple(dict.fromkeys(estimator_ids))
     if not ids:
         raise ValueError("estimator_ids must name at least one estimator")
     for est in ids:
         if est not in ESTIMATOR_IDS:
             raise ValueError(f"estimator ids must be among {ESTIMATOR_IDS}, got {est!r}")
+    return ids
+
+
+def risk_replicate(config: ExperimentConfig, estimator_ids):
+    """The risk sweep's replicate function for :func:`map_replicates`:
+    ``fn(spec, design)`` returns the replicate's (errors, flags), each
+    (len(ids), n_amplitudes), for the estimators in ``estimator_ids``
+    (``config.estimator_id`` is not used). :func:`risk_reports` reduces
+    the results of replicates 0 .. config.reps - 1."""
+    ids = _estimator_ids(estimator_ids)
     needs_lam = any(est in ("lasso", "oracle", "aggregated") for est in ids)
     lam = lambda_eps(config.eps, config.sigma_eff, config.n, config.p, config.k) if needs_lam else 0.0
     seq = (
@@ -365,15 +380,35 @@ def empirical_risks(config: ExperimentConfig, estimator_ids, threads: int | None
     )
     scale = config.amplitude_scale
     amps_abs = tuple(a * scale for a in config.amplitudes)
+    return partial(_replicate_errors, config, ids, lam, seq, amps_abs)
 
-    shape = (len(ids), len(amps_abs), config.reps)
-    errors = np.empty(shape)
-    flags = np.zeros(shape, dtype=bool)
 
-    for rep in range(config.reps):
-        errors[:, :, rep], flags[:, :, rep] = _replicate_errors(config, ids, rep, lam, seq, amps_abs, threads)
-
+def risk_reports(config: ExperimentConfig, estimator_ids, results) -> dict[str, RiskReport]:
+    """One report per estimator from :func:`risk_replicate`'s results, in
+    replicate order. Non-converged fits are flagged and excluded from the
+    means; more than 1% flagged for any estimator aborts the run."""
+    ids = _estimator_ids(estimator_ids)
+    errors = np.stack([errs for errs, _ in results], axis=-1)  # (estimator, amplitude, replicate)
+    flags = np.stack([flag for _, flag in results], axis=-1)
     return {est: _risk_report(config, est, errors[e], flags[e]) for e, est in enumerate(ids)}
+
+
+def empirical_risks(config: ExperimentConfig, estimator_ids, threads: int | None = None) -> dict[str, RiskReport]:
+    """Mean squared error per amplitude over fresh (X, z) draws, for each
+    estimator in ``estimator_ids`` (``config.estimator_id`` is not used).
+
+    Every estimator sees the same replicates: :func:`map_replicates` draws
+    replicate r's design once from stream r of the master seed, with
+    ``threads`` splitting the draw, and every estimator is fitted on it.
+    One design is alive at a time, and the fits use numpy's own BLAS
+    threads. Means use numpy's pairwise sums over the replicates in order,
+    so each report is bit-identical for any thread count and to an
+    :func:`empirical_risk` run of that estimator alone.
+    """
+    results = map_replicates(
+        config.n, config.p, config.master_seed, config.reps, risk_replicate(config, estimator_ids), threads
+    )
+    return risk_reports(config, estimator_ids, results)
 
 
 def empirical_risk(config: ExperimentConfig, threads: int | None = None) -> RiskReport:
@@ -383,14 +418,20 @@ def empirical_risk(config: ExperimentConfig, threads: int | None = None) -> Risk
 
 def slope_highprob_check(config: ExperimentConfig, q: float | None = None) -> float:
     """Worst-amplitude fraction of replicates whose squared error exceeds
-    (2+6 eps) sigma^2 k log(p/k) / n, with the estimator forced to SLOPE.
+    (2+6 eps) sigma^2 k log(p/k) / n, with the estimator forced to SLOPE
+    (at sorted-penalty level ``q`` when given); see :func:`slope_exceedance`."""
+    cfg = replace(config, estimator_id="slope", slope_q=config.slope_q if q is None else q)
+    return slope_exceedance(cfg, empirical_risk(cfg))
+
+
+def slope_exceedance(config: ExperimentConfig, report: RiskReport) -> float:
+    """Worst-amplitude fraction of the converged replicates in ``report``
+    whose squared error exceeds (2+6 eps) sigma^2 k log(p/k) / n.
 
     The threshold uses the true noise level sigma (zero when noiseless),
     matching the statement being probed."""
-    cfg = replace(config, estimator_id="slope", slope_q=config.slope_q if q is None else q)
-    report = empirical_risk(cfg)
     threshold = (
-        (2.0 + 6.0 * cfg.eps) * cfg.sigma**2 * cfg.k * math.log(cfg.p / cfg.k) / cfg.n
+        (2.0 + 6.0 * config.eps) * config.sigma**2 * config.k * math.log(config.p / config.k) / config.n
     )
     worst = 0.0
     for a in range(len(report.amplitudes)):

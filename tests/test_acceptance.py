@@ -9,23 +9,29 @@ starting to pass would itself fail the suite.
 
 import math
 import time
+from dataclasses import replace
+from functools import partial
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import shared_pass, track_designs
 from scipy.integrate import quad
 
-from sparse_minimax.cli import _driver_gap, run
+from sparse_minimax import risk
+from sparse_minimax.cli import _gap_replicate, _gap_report, run
 from sparse_minimax.config import lemma_config_from_mapping
 from sparse_minimax.design import gen_design, make_signal, synthesize
 from sparse_minimax.diagnostics import event_a_check, sparse_min_eig
 from sparse_minimax.estimators import mle_best_subset
 from sparse_minimax.risk import (
     ExperimentConfig,
-    empirical_risks,
     mle_moment_estimate,
     predicted_ratio,
-    slope_highprob_check,
+    risk_replicate,
+    risk_reports,
+    slope_exceedance,
     st_risk_bounds_check,
     st_risk_exact,
 )
@@ -44,6 +50,9 @@ DESK = dict(
     master_seed=20260819,
 )
 
+SLOPE_REPS = 100  # replicates 0-99 of the desk pass, for the SLOPE error level
+GAP_REPS = 100  # and for the oracle-Lasso gap
+
 MATRIX_ROWS = {"gauss_sv", "resolvent_sv", "sup_xtz", "sre_event"}
 
 
@@ -57,13 +66,39 @@ def announce(capfd):
 
 
 @pytest.fixture(scope="module")
-def desk_reports():
-    """Oracle and Lasso risk at the desk size from one pass that fits both on
-    each replicate's design, and the wall time of that pass."""
+def desk():
+    """The four desk-size stages from one pass over replicates 0-199 of the
+    desk seed, so each design is drawn once: oracle and Lasso risk on all
+    200, SLOPE (q = 0.5) and the gap driver's replicate on 0-99. Each
+    consumer's result is bit-identical to a run of it alone
+    (``empirical_risks``, ``slope_highprob_check`` at 100 replicates, and
+    ``check-lemma --lemma gap`` at 100). Also the designs drawn, as
+    ``track_designs`` records them, and the wall time of the whole pass."""
     cfg = ExperimentConfig(estimator_id="oracle", **DESK)
-    t0 = time.monotonic()
-    reports = empirical_risks(cfg, ("oracle", "lasso"))
-    return cfg, reports["oracle"], reports["lasso"], time.monotonic() - t0
+    slope_cfg = replace(cfg, estimator_id="slope", slope_q=0.5, reps=SLOPE_REPS)
+    # a mid-sweep signal level (4 thresholds) and k* = 2k
+    mapping = {key: str(DESK[key]) for key in ("n", "p", "k", "sigma", "eps")}
+    gap_settings = lemma_config_from_mapping(dict(mapping, amplitude="4.0", k_star=str(2 * DESK["k"])))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        designs = track_designs(monkeypatch)(risk)
+        t0 = time.monotonic()
+        results = shared_pass(cfg.n, cfg.p, cfg.master_seed, {
+            "sweep": (cfg.reps, risk_replicate(cfg, ("oracle", "lasso"))),
+            "slope": (slope_cfg.reps, risk_replicate(slope_cfg, ("slope",))),
+            "gap": (GAP_REPS, partial(_gap_replicate, gap_settings)),
+        })
+        elapsed = time.monotonic() - t0
+    sweep = risk_reports(cfg, ("oracle", "lasso"), results["sweep"])
+    slope = risk_reports(slope_cfg, ("slope",), results["slope"])["slope"]
+    return SimpleNamespace(
+        cfg=cfg,
+        oracle=sweep["oracle"],
+        lasso=sweep["lasso"],
+        slope_exceedance=slope_exceedance(slope_cfg, slope),
+        gap=_gap_report(gap_settings, results["gap"]),
+        designs=list(designs),
+        elapsed=elapsed,
+    )
 
 
 def _quad_st_risk(mu: float, tau: float) -> float:
@@ -97,9 +132,9 @@ def test_st_risk_matches_quadrature(announce):
     assert elapsed < 5.0
 
 
-def test_oracle_hits_predicted_constant(desk_reports, announce):
-    cfg, rep_o, _, elapsed = desk_reports
-    ratio = rep_o.minimax_ratio
+def test_oracle_hits_predicted_constant(desk, announce):
+    cfg, elapsed = desk.cfg, desk.elapsed
+    ratio = desk.oracle.minimax_ratio
     target = predicted_ratio(cfg.n, cfg.p, cfg.k, cfg.eps)
     ok = abs(ratio - target) <= 0.10 and elapsed <= 600.0
     announce(
@@ -111,10 +146,10 @@ def test_oracle_hits_predicted_constant(desk_reports, announce):
     assert elapsed <= 600.0
 
 
-def test_lasso_tracks_oracle(desk_reports, announce):
-    _, rep_o, rep_l, elapsed = desk_reports
-    ratio_o = rep_o.minimax_ratio
-    ratio_l = rep_l.minimax_ratio
+def test_lasso_tracks_oracle(desk, announce):
+    elapsed = desk.elapsed
+    ratio_o = desk.oracle.minimax_ratio
+    ratio_l = desk.lasso.minimax_ratio
     gap = abs(ratio_l - ratio_o)
     ok = gap <= 0.15 and elapsed <= 1800.0
     announce(
@@ -126,13 +161,16 @@ def test_lasso_tracks_oracle(desk_reports, announce):
     assert elapsed <= 1800.0
 
 
-def test_oracle_lasso_gap_at_scale(announce):
-    # the shipped check-lemma gap driver at the desk size, with a mid-sweep
-    # signal level (4 thresholds) and k* = 2k
-    mapping = {key: str(DESK[key]) for key in ("n", "p", "k", "sigma", "eps")}
-    settings = lemma_config_from_mapping(dict(mapping, amplitude="4.0", k_star=str(2 * DESK["k"])))
-    reps = 100
-    report = _driver_gap(settings, reps, DESK["master_seed"])
+def test_desk_stages_draw_each_desk_design_once(desk):
+    # the four desk stages share one pass: 200 desk designs in all, where
+    # separate runs drew 400, and none is alive when the next is drawn
+    assert [alive for alive, _, _ in desk.designs] == [0] * DESK["reps"]
+
+
+def test_oracle_lasso_gap_at_scale(desk, announce):
+    # the shipped check-lemma gap driver's report at the desk size, on the
+    # desk pass's replicates 0-99
+    report, reps = desk.gap, GAP_REPS
     checked, violations, rate = report["checked"], report["violations"], report["containment_rate"]
     ok = violations == 0 and checked > 0 and rate >= 0.90
     announce(
@@ -254,9 +292,9 @@ def test_event_rate_on_gaussian_design(announce):
     "asymptotic statement; at n=4000, p=8000 the worst-amplitude error exceeds "
     "it on around 40% of replicates, far above the 10% allowance",
 )
-def test_slope_error_level(announce):
-    cfg = ExperimentConfig(estimator_id="slope", **{**DESK, "reps": 100})
-    frac = slope_highprob_check(cfg, q=0.5)
+def test_slope_error_level(desk, announce):
+    # slope_highprob_check(q=0.5) at 100 replicates, on the desk pass's 0-99
+    frac = desk.slope_exceedance
     ok = frac <= 0.10
     announce("slope-error-level", ok, f"exceedance={frac:.2f} needed<=0.10 (strict xfail)")
     assert frac <= 0.10

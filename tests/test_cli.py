@@ -3,6 +3,7 @@ manifest integrity, and byte-exact replay."""
 
 import ast
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -10,12 +11,15 @@ import pathlib
 import threading
 
 import pytest
+from conftest import shared_pass
 
 from sparse_minimax import _kernels, cli, risk, rng
 from sparse_minimax.cli import PROOF_LEMMAS, _produce_check_lemma, run
 from sparse_minimax.config import lemma_config_from_mapping, parse_grid_text
+from sparse_minimax.design import gen_design
 from sparse_minimax.estimators import LassoConfig, lasso_fit
-from sparse_minimax.rng import worker_count
+from sparse_minimax.risk import ExperimentConfig
+from sparse_minimax.rng import SeedSpec, worker_count
 from sparse_minimax.tails import REGISTRY
 
 RISK_CFG = """
@@ -306,8 +310,8 @@ PROOF_SETTINGS = {"n": "260", "p": "20", "k": "2", "sigma": "1.0", "eps": "2.0",
 @pytest.mark.parametrize("lemma", PROOF_LEMMAS)
 def test_proof_driver_reports_do_not_depend_on_the_thread_count(monkeypatch, design_tracker, lemma):
     # the thread count only splits each design's draw, which gets the
-    # resolved count
-    calls = design_tracker(cli)
+    # resolved count; risk.map_replicates draws every driver's designs
+    calls = design_tracker(risk)
     config = {"lemma": lemma, "reps": 9, "seed": 3, "settings": lemma_config_from_mapping(PROOF_SETTINGS)}
     files = {}
     for threads in ("1", "2", "3"):
@@ -323,11 +327,36 @@ def test_proof_driver_reports_do_not_depend_on_the_thread_count(monkeypatch, des
 def test_proof_driver_workers_drop_each_design_before_drawing_the_next(monkeypatch, design_tracker, lemma, threads):
     # replicates run one at a time on the calling thread, so no design is
     # alive when the next one is drawn, at any thread count
-    calls = design_tracker(cli)
+    calls = design_tracker(risk)
     monkeypatch.setenv("SPARSE_MINIMAX_THREADS", str(threads))
     settings = lemma_config_from_mapping(PROOF_SETTINGS)
-    cli._PROOF_DRIVERS[lemma](settings, 9, 3)
+    cli._proof_report(lemma, settings, 9, 3)
     assert calls == [(0, threads, threading.get_ident())] * 9
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_one_pass_feeds_the_sweep_and_the_gap_replicate_as_each_would_alone(monkeypatch, design_tracker, threads):
+    # the sweep consumer takes replicates 0-3 and the gap replicate 0-5 of
+    # one pass; each design is drawn once and dropped before the next
+    monkeypatch.setenv("SPARSE_MINIMAX_THREADS", threads)
+    cfg = ExperimentConfig(
+        n=60, p=120, k=2, sigma=1.0, eps=0.1, estimator_id="oracle", amplitudes=(1.0, 4.0), reps=4, master_seed=9
+    )
+    ids = ("oracle", "lasso", "slope")
+    settings = lemma_config_from_mapping({"n": "60", "p": "120", "k": "2", "sigma": "1.0", "eps": "0.1"})
+    calls = design_tracker(risk)
+    results = shared_pass(cfg.n, cfg.p, cfg.master_seed, {
+        "sweep": (cfg.reps, risk.risk_replicate(cfg, ids)),
+        "gap": (6, functools.partial(cli._gap_replicate, settings)),
+    })
+    assert calls == [(0, int(threads), threading.get_ident())] * 6
+    shared = risk.risk_reports(cfg, ids, results["sweep"])
+    alone = risk.empirical_risks(cfg, ids)
+    for est in ids:
+        assert shared[est].to_json() == alone[est].to_json()
+        assert shared[est].errors.tobytes() == alone[est].errors.tobytes()
+    shared_gap = cli._json_bytes(cli._gap_report(settings, results["gap"]))
+    assert shared_gap == cli._json_bytes(cli._proof_report("gap", settings, 6, cfg.master_seed))
 
 
 def test_check_lemma_proof_driver_needs_config(capsys):
@@ -418,7 +447,8 @@ def test_bad_arguments_are_refused_before_any_draw(tmp_path, monkeypatch, capsys
 )
 def test_replay_refuses_bad_arguments_before_any_draw(tmp_path, monkeypatch, capsys, subcommand, config, message):
     drawn = []
-    monkeypatch.setattr(cli, "gen_design", lambda *args: drawn.append(args))
+    for module in (cli, risk):
+        monkeypatch.setattr(module, "gen_design", lambda *args: drawn.append(args))
     if subcommand == "check-lemma":
         config = dict(config, settings=lemma_config_from_mapping({"n": "40", "p": "20", "k": "2", "sigma": "1.0", "eps": "0.1"}))
     manifest = tmp_path / "manifest.json"
@@ -466,6 +496,26 @@ _LEMMA_SETTINGS = lemma_config_from_mapping({"n": "40", "p": "20", "k": "2", "si
         ({"subcommand": "check-lemma", "config": {"lemma": "gap", "reps": 3, "seed": 0,
                                                   "settings": dict(_LEMMA_SETTINGS, sigma=-1.0)}},
          "sigma must be positive for lemma checks, got -1.0"),
+        # before, each of these ended in a TypeError traceback
+        ({"subcommand": "simulate-risk", "config": {"experiment": 5}}, "config experiment must be an object, got 5"),
+        ({"subcommand": "sweep", "config": {"experiment": _EXPERIMENT, "estimators": 5}},
+         "config estimators must be a list of strings, got 5"),
+        ({"subcommand": "sweep", "config": {"experiment": _EXPERIMENT, "estimators": ["oracle"]}, "outputs": 5},
+         "manifest outputs must be an object, got 5"),
+        ({"subcommand": "simulate-risk", "config": {"experiment": dict(_EXPERIMENT, n=[1])}},
+         "config experiment n must be a string, got [1]"),
+        ({"subcommand": "check-lemma", "config": {"lemma": "gauss_max", "reps": 300, "seed": 0, "grid": 5}},
+         "config grid must be null or a list of objects, got 5"),
+        ({"subcommand": "check-lemma", "config": {"lemma": ["gap"], "reps": 3, "seed": 0, "settings": _LEMMA_SETTINGS}},
+         "config lemma must be a string, got ['gap']"),
+        ({"subcommand": ["x"], "config": {}}, "manifest subcommand must be a string, got ['x']"),
+    ]
+    + [
+        # before, replay opened these outside the run directory
+        ({"subcommand": "sweep", "config": {"experiment": _EXPERIMENT, "estimators": ["oracle"]},
+          "outputs": {name: {"sha256": "0" * 64, "bytes": 1}}},
+         f"manifest outputs name {name!r} is not a plain file name")
+        for name in ("../x", "../../etc/hostname", "/etc/hostname", "sub/risk_oracle.csv", "..", ".", "", "a\\b")
     ],
 )
 def test_replay_refuses_a_malformed_manifest_by_name_before_any_draw(tmp_path, monkeypatch, capsys, manifest, message):
@@ -492,7 +542,8 @@ def test_replay_refuses_a_malformed_manifest_by_name_before_any_draw(tmp_path, m
 def test_check_lemma_refuses_an_option_that_does_not_apply(tmp_path, monkeypatch, capsys, argv, option):
     # before, each ran, ignored the option and exited 0
     drawn = []
-    monkeypatch.setattr(cli, "gen_design", lambda *args: drawn.append(args))
+    for module in (cli, risk):
+        monkeypatch.setattr(module, "gen_design", lambda *args: drawn.append(args))
     monkeypatch.setattr(rng.SeedSpec, "generator", lambda *args: drawn.append(args))
     cfg = tmp_path / "lemma.cfg"
     cfg.write_text(LEMMA_CFG)
@@ -541,6 +592,20 @@ def test_one_function_runs_a_command():
     package = pathlib.Path(cli.__file__).parent
     splitting = sorted(path.name for path in package.glob("*.py") if 'split("=", 1)' in path.read_text(encoding="utf-8"))
     assert splitting == ["config.py"]
+
+
+def test_one_function_turns_a_replicate_into_a_design():
+    # risk.map_replicates draws every replicate design, for the sweep and
+    # the proof drivers alike; diagnose-design draws its one design itself
+    # (a call by attribute, in a class or at module level counts too)
+    package = pathlib.Path(cli.__file__).parent
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Call) and "gen_design" in (getattr(inner.func, "id", None), getattr(inner.func, "attr", None)):
+                    callers.add((path.stem, getattr(node, "name", "<module>")))
+    assert callers == {("risk", "map_replicates"), ("cli", "_produce_diagnose")}
 
 
 def test_out_of_memory_is_an_error_line(monkeypatch, capsys):
@@ -682,15 +747,17 @@ def test_gap_replicate_makes_one_design_product_for_the_oracle_and_the_resolvent
     settings = lemma_config_from_mapping(PROOF_SETTINGS)
     on_event = 0
     for rep in range(4):
-        _, inst, _ = cli._lemma_instance(settings, rep, 3)
+        spec = SeedSpec(3, rep)
+        design = gen_design(settings["n"], settings["p"], spec)
+        inst, _ = cli._instance(settings, spec, design)
         calls.clear()
-        lasso_fit(inst.design.entries, inst.response, LassoConfig(lam=cli._lasso_level(settings)))
+        lasso_fit(design.entries, inst.response, LassoConfig(lam=cli._lasso_level(settings)))
         lasso_products = len(calls)
         calls.clear()
-        cli._gap_replicate(settings, 3, rep)
+        cli._gap_replicate(settings, spec, design)
         assert len(calls) == lasso_products + 1
         calls.clear()
-        fitted = cli._event_error_replicate(settings, 3, rep) is not None
+        fitted = cli._event_error_replicate(settings, spec, design) is not None
         assert len(calls) == (lasso_products if fitted else 0)
         on_event += fitted
     assert 0 < on_event < 4  # both branches of the l2 replicate ran

@@ -2,7 +2,11 @@
 computations, and the certified directions of the cone estimate."""
 
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -385,6 +389,32 @@ def test_gram_window_validation(rng):
         gram_eig_window(X, [0, 0], 0.1)
     with pytest.raises(ValueError):
         gram_eig_window(X, [0, 9], 0.1)
+
+
+_GRAM_WINDOW_PROBE = """
+import sys
+import numpy as np
+from sparse_minimax.diagnostics import gram_eig_window
+before = "numpy.ma" in sys.modules
+gram_eig_window(np.eye(6), [4, 0, 2], 0.5)
+try:
+    gram_eig_window(np.eye(6), [1, 3, 1], 0.5)
+except ValueError as exc:
+    message = str(exc)
+print(before, sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]), message)
+"""
+
+
+def test_gram_window_finds_duplicates_without_loading_numpy_ma():
+    # numpy 2.4's np.unique imports numpy.ma; the duplicate check sorts
+    # instead, and still refuses a repeated index with the same error
+    src = str(Path(diagnostics.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _GRAM_WINDOW_PROBE],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False [] S must not contain duplicate indices"
 
 
 @pytest.mark.parametrize("n, p, k, eps", [(30, 12, 2, 0.1), (60, 400, 1, 2.0)])
