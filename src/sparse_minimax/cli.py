@@ -24,7 +24,18 @@ import numpy as np
 from . import __version__
 from . import _kernels as _k
 from .config import (
+    CHECK_LEMMA_FIELDS,
+    DIAGNOSE_FIELDS,
+    FIELD_KINDS,
+    FILE_NAMES,
+    GRID,
+    INTEGER,
     LEMMA_FIELDS,
+    LIST_OF_STRINGS,
+    OBJECT_OF_STRINGS,
+    REAL,
+    REQUIRED,
+    STRING,
     check_lemma_settings,
     experiment_config_from_mapping,
     experiment_config_to_mapping,
@@ -110,39 +121,31 @@ def _write_run(out: str, subcommand: str, config, files: dict[str, bytes], start
     _atomic_write(os.path.join(out, _MANIFEST_NAME), _json_bytes(manifest))
 
 
-# the numeric config fields, by the JSON type a manifest must give them
-# (delta0 may also be null: the drivers then resolve it from eps)
-_INTEGER_FIELDS = frozenset({"reps", "seed", "n", "p", "k", "k_star", "u_samples", "restarts"})
-_REAL_FIELDS = frozenset({"eps", "sigma", "amplitude", "delta0", "delta1", "delta2", "delta3", "q"})
-_STRING_FIELDS = frozenset({"subcommand", "lemma"})  # the dispatch keys
-
-
 def _check_field(where: str, name: str, value) -> None:
-    """Refuse, by name, a value whose JSON type is not the field's. The
-    containers are checked down to what their readers index: experiment is
-    an object of strings, estimators a list of strings, a registry grid
-    null or a list of objects, and outputs an object of plain file names."""
+    """Refuse, by name, a value whose JSON type is not the field's kind in
+    config.FIELD_KINDS (delta0 may also be null: the drivers then resolve it
+    from eps). The containers are checked down to what their readers index;
+    config and settings are checked by the _fields call that reads them."""
+    kind = FIELD_KINDS[name]
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if name in _INTEGER_FIELDS and not (number and isinstance(value, int)):
-        raise ValueError(f"{where} {name} must be an integer, got {value!r}")
-    if name in _REAL_FIELDS and not (number or (name == "delta0" and value is None)):
-        raise ValueError(f"{where} {name} must be a number, got {value!r}")
-    if name in _STRING_FIELDS and not isinstance(value, str):
-        raise ValueError(f"{where} {name} must be a string, got {value!r}")
-    if name in ("experiment", "outputs") and not isinstance(value, dict):
+    if (
+        (kind is INTEGER and not (number and isinstance(value, int)))
+        or (kind is REAL and not (number or (name == "delta0" and value is None)))
+        or (kind is STRING and not isinstance(value, str))
+        or (kind is LIST_OF_STRINGS and not (isinstance(value, list) and all(isinstance(e, str) for e in value)))
+        or (kind is GRID and not (value is None or (isinstance(value, list) and all(isinstance(pt, dict) for pt in value))))
+    ):
+        raise ValueError(f"{where} {name} must be {kind}, got {value!r}")
+    if kind in (OBJECT_OF_STRINGS, FILE_NAMES) and not isinstance(value, dict):
         raise ValueError(f"{where} {name} must be an object, got {value!r}")
-    if name == "experiment":
+    if kind is OBJECT_OF_STRINGS:
         for key, text in value.items():
             if not isinstance(text, str):
-                raise ValueError(f"{where} experiment {key} must be a string, got {text!r}")
-    if name == "estimators" and not (isinstance(value, list) and all(isinstance(e, str) for e in value)):
-        raise ValueError(f"{where} estimators must be a list of strings, got {value!r}")
-    if name == "grid" and not (value is None or (isinstance(value, list) and all(isinstance(pt, dict) for pt in value))):
-        raise ValueError(f"{where} grid must be null or a list of objects, got {value!r}")
-    if name == "outputs":
+                raise ValueError(f"{where} {name} {key} must be a string, got {text!r}")
+    if kind is FILE_NAMES:
         for file_name in value:  # joined to the run directory by replay
             if file_name in ("", ".", "..") or "/" in file_name or "\\" in file_name:
-                raise ValueError(f"{where} outputs name {file_name!r} is not a plain file name")
+                raise ValueError(f"{where} {name} name {file_name!r} is not a plain file name")
 
 
 def _fields(mapping, where: str, *names: str) -> list:
@@ -277,7 +280,7 @@ def _produce_sweep(config: dict, threads=None) -> tuple[dict[str, bytes], bool]:
 
 
 def _produce_diagnose(config: dict) -> tuple[dict[str, bytes], bool]:
-    n, p, k, eps, restarts, seed = _fields(config, "config", "n", "p", "k", "eps", "restarts", "seed")
+    n, p, k, eps, restarts, seed = _fields(config, "config", *DIAGNOSE_FIELDS)
     if n < 1 or p < 1:
         raise ValueError(f"design dimensions must be positive, got n={n}, p={p}")
     if not 1 <= k < p:
@@ -509,7 +512,7 @@ def _proof_report(lemma: str, settings: dict, reps: int, seed: int) -> dict:
 
 def _produce_check_lemma(config: dict) -> tuple[dict[str, bytes], bool]:
     """A proof-lemma driver's result, or a tail-registry row's report."""
-    lemma, reps, seed = _fields(config, "config", "lemma", "reps", "seed")
+    lemma, reps, seed = _fields(config, "config", *CHECK_LEMMA_FIELDS)
     if lemma in _PROOF_DRIVERS:
         (settings,) = _fields(config, "config", "settings")
         _fields(settings, "config settings", *LEMMA_FIELDS)
@@ -590,14 +593,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_diagnose_design(args) -> int:
-    config = {"n": args.n, "p": args.p, "k": args.k, "eps": args.eps, "restarts": args.restarts, "seed": args.seed}
+    config = {name: getattr(args, name) for name in DIAGNOSE_FIELDS}
     files, passed = _run_command("diagnose-design", config, args.out)
     print(json.dumps(json.loads(files["diagnose.json"])["report"], sort_keys=True, indent=2))
     return 0 if passed else 2
 
 
 def _cmd_check_lemma(args) -> int:
-    config = {"lemma": args.lemma, "reps": args.reps, "seed": args.seed}
+    config = {name: getattr(args, name) for name in CHECK_LEMMA_FIELDS}
     if args.lemma in _PROOF_DRIVERS:
         if args.config is None:
             raise _UsageError(f"--lemma {args.lemma} needs --config with the instance settings")
@@ -650,14 +653,15 @@ def _cmd_replay(args) -> int:
     subcommand, config, outputs = _fields(manifest, "manifest", "subcommand", "config", "outputs")
     if subcommand not in _PRODUCERS:
         raise _UsageError(f"manifest names unknown subcommand {subcommand!r}")
-    files, _ = _PRODUCERS[subcommand](config)
     base = os.path.dirname(os.path.abspath(args.manifest))
-    mismatched = []
-    for name in outputs:
-        path = os.path.join(base, name)
+    paths = {name: os.path.join(base, name) for name in outputs}
+    for path in paths.values():  # before the work, which can be long
         if not os.path.exists(path):
             print(f"missing output file: {path}", file=sys.stderr)
             return 1
+    files, _ = _PRODUCERS[subcommand](config)
+    mismatched = []
+    for name, path in paths.items():
         with open(path, "rb") as fh:
             if files.get(name) != fh.read():
                 mismatched.append(name)
@@ -665,6 +669,17 @@ def _cmd_replay(args) -> int:
         print(f"mismatch: {name}")
     print(f"replay: {len(outputs) - len(mismatched)}/{len(outputs)} files identical")
     return 2 if mismatched else 0
+
+
+_OPTION_TYPES = {INTEGER: int, REAL: float, STRING: str}
+
+
+def _add_field_options(parser, fields: dict, **helps) -> None:
+    """One option per field of a command, typed by its kind; a field
+    without a default is required."""
+    for name, default in fields.items():
+        given = {"required": True} if default is REQUIRED else {"default": default}
+        parser.add_argument(f"--{name}", type=_OPTION_TYPES[FIELD_KINDS[name]], help=helps.get(name), **given)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -679,27 +694,20 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(handler=_cmd_simulate_risk)
 
     swp = sub.add_parser("sweep", help="run the same experiment for several estimators, sharing seeds")
-    swp.add_argument("--config", required=True)
+    swp.add_argument("--config", required=True, help="flat key = value experiment config")
     swp.add_argument("--estimators", default="lasso,oracle", help="comma-separated estimator ids")
-    swp.add_argument("--seed", type=int, default=None)
-    swp.add_argument("--out", required=True)
-    swp.add_argument("--threads", type=int, default=None)
+    swp.add_argument("--seed", type=int, default=None, help="override master_seed from the config")
+    swp.add_argument("--out", required=True, help="existing directory for CSV/TSV/JSON and the manifest")
+    swp.add_argument("--threads", type=int, default=None, help="threads that draw each design (results never depend on this)")
     swp.set_defaults(handler=_cmd_sweep)
 
     diag = sub.add_parser("diagnose-design", help="check the conditioning event on a fresh Gaussian design")
-    diag.add_argument("--n", type=int, required=True)
-    diag.add_argument("--p", type=int, required=True)
-    diag.add_argument("--k", type=int, required=True)
-    diag.add_argument("--eps", type=float, required=True)
-    diag.add_argument("--restarts", type=int, default=64)
-    diag.add_argument("--seed", type=int, default=0)
+    _add_field_options(diag, DIAGNOSE_FIELDS)
     diag.add_argument("--out", default=None, help="optional directory for the JSON report and manifest")
     diag.set_defaults(handler=_cmd_diagnose_design)
 
     chk = sub.add_parser("check-lemma", help="Monte Carlo check of one registered inequality")
-    chk.add_argument("--lemma", required=True, help=f"one of {', '.join(_PROOF_DRIVERS)} or a tail registry id")
-    chk.add_argument("--reps", type=int, default=10_000)
-    chk.add_argument("--seed", type=int, default=0)
+    _add_field_options(chk, CHECK_LEMMA_FIELDS, lemma=f"one of {', '.join(_PROOF_DRIVERS)} or a tail registry id")
     chk.add_argument("--config", default=None, help="instance settings (proof lemmas only)")
     chk.add_argument("--grid", default=None, help="grid file overriding a registry row's default grid")
     chk.add_argument("--out", default=None)

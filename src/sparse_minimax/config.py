@@ -3,11 +3,14 @@
 The format is a diff-friendly line protocol: one assignment per line,
 ``#`` comments, no nesting, no quoting. Values keep their exact text until
 a schema coerces them, so configs round-trip byte-for-byte through
-manifests.
+manifests. ``FIELD_KINDS`` states the kind of every field once, and each
+command's fields and defaults are stated once below it; the readers, the
+writer and the cli's options and manifest checks derive from them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 from .risk import ExperimentConfig
@@ -73,131 +76,116 @@ def load_kv(path: str) -> dict[str, str]:
         return parse_kv_text(fh.read())
 
 
-def _coerce_int(key: str, value: str) -> int:
+# the kinds of field; each reads as the end of its error message
+INTEGER = "an integer"
+REAL = "a number"
+REALS = "a comma-separated list of numbers"
+STRING = "a string"
+# the containers of a manifest, which cli._check_field checks down to what
+# their readers index
+OBJECT = "an object"
+OBJECT_OF_STRINGS = "an object of strings"
+LIST_OF_STRINGS = "a list of strings"
+GRID = "null or a list of objects"
+FILE_NAMES = "an object of plain file names"
+
+# the kind of every field of every command's config and manifest; a name has
+# one kind in every command
+FIELD_KINDS = {
+    **dict.fromkeys(("n", "p", "k", "reps", "seed", "master_seed", "k_star", "u_samples", "restarts"), INTEGER),
+    **dict.fromkeys(("sigma", "eps", "slope_q", "noise_scale", "amplitude", "delta0", "delta1", "delta2", "delta3", "q"), REAL),
+    "amplitudes": REALS,
+    **dict.fromkeys(("estimator_id", "amplitude_unit", "support_rule", "subcommand", "lemma"), STRING),
+    **dict.fromkeys(("config", "settings"), OBJECT),
+    "experiment": OBJECT_OF_STRINGS,
+    "estimators": LIST_OF_STRINGS,
+    "grid": GRID,
+    "outputs": FILE_NAMES,
+}
+
+# the default of a field that a command cannot run without
+REQUIRED = dataclasses.MISSING
+
+# each command's fields and their defaults, in the order they are read
+EXPERIMENT_FIELDS = {field.name: field.default for field in dataclasses.fields(ExperimentConfig)}
+# amplitude is in threshold units, as in ExperimentConfig; k_star defaults to
+# 2k, and delta0 to the conditioning-event value for eps, resolved by the drivers
+LEMMA_FIELDS = {
+    **dict.fromkeys(("n", "p", "k", "sigma", "eps"), REQUIRED),
+    "amplitude": 4.0,
+    "k_star": None,
+    "delta0": None,
+    "delta1": 0.02,
+    "delta2": 0.02,
+    "delta3": 0.05,
+    "u_samples": 64,
+    "q": 2.0,
+    "restarts": 16,
+}
+DIAGNOSE_FIELDS = {"n": REQUIRED, "p": REQUIRED, "k": REQUIRED, "eps": REQUIRED, "restarts": 64, "seed": 0}
+CHECK_LEMMA_FIELDS = {"lemma": REQUIRED, "reps": 10_000, "seed": 0}
+
+
+def _read_number(kind: str, key: str, text: str):
     try:
-        return int(value)
+        return int(text) if kind is INTEGER else float(text)
     except ValueError:
-        raise ValueError(f"config key {key!r} must be an integer, got {value!r}") from None
+        raise ValueError(f"config key {key!r} must be {kind}, got {text!r}") from None
 
 
-def _coerce_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ValueError(f"config key {key!r} must be a number, got {value!r}") from None
-
-
-def _coerce_floats(key: str, value: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in value.split(",") if p.strip()]
+def _read(key: str, text: str):
+    """The typed value of one field from its text."""
+    kind = FIELD_KINDS[key]
+    if kind is STRING:
+        return text
+    if kind is not REALS:
+        return _read_number(kind, key, text)
+    parts = [part.strip() for part in text.split(",") if part.strip()]
     if not parts:
-        raise ValueError(f"config key {key!r} must be a comma-separated list of numbers")
-    return tuple(_coerce_float(key, p) for p in parts)
+        raise ValueError(f"config key {key!r} must be {REALS}")
+    return tuple(_read_number(REAL, key, part) for part in parts)
 
 
-_EXPERIMENT_REQUIRED = {
-    "n": _coerce_int,
-    "p": _coerce_int,
-    "k": _coerce_int,
-    "sigma": _coerce_float,
-    "eps": _coerce_float,
-    "estimator_id": str,
-    "amplitudes": _coerce_floats,
-    "reps": _coerce_int,
-    "master_seed": _coerce_int,
-}
+def _write(key: str, value) -> str:
+    """The text of one typed field; _read turns it back into an equal value."""
+    kind = FIELD_KINDS[key]
+    if kind is REALS:
+        return ", ".join(repr(a) for a in value)
+    return repr(value) if kind is REAL else str(value)
 
-_EXPERIMENT_OPTIONAL = {
-    "slope_q": _coerce_float,
-    "noise_scale": _coerce_float,
-    "amplitude_unit": str,
-    "support_rule": str,
-}
+
+def _read_fields(fields: dict, mapping: dict[str, str]) -> dict:
+    """Typed values of fields from flat text keys; a field that mapping
+    omits takes its default. Unknown or missing keys are named in the error."""
+    unknown = sorted(set(mapping) - set(fields))
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    missing = sorted(key for key, default in fields.items() if default is REQUIRED and key not in mapping)
+    if missing:
+        raise ValueError(f"missing config keys: {', '.join(missing)}")
+    return {key: _read(key, mapping[key]) if key in mapping else default for key, default in fields.items()}
 
 
 def experiment_config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
     """Typed ExperimentConfig from flat text keys; unknown or missing keys
     are named in the error."""
-    known = set(_EXPERIMENT_REQUIRED) | set(_EXPERIMENT_OPTIONAL)
-    unknown = sorted(set(mapping) - known)
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    missing = sorted(set(_EXPERIMENT_REQUIRED) - set(mapping))
-    if missing:
-        raise ValueError(f"missing config keys: {', '.join(missing)}")
-    kwargs: dict = {}
-    for key, coerce in _EXPERIMENT_REQUIRED.items():
-        kwargs[key] = coerce(key, mapping[key]) if coerce is not str else mapping[key]
-    for key, coerce in _EXPERIMENT_OPTIONAL.items():
-        if key in mapping:
-            kwargs[key] = coerce(key, mapping[key]) if coerce is not str else mapping[key]
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**_read_fields(EXPERIMENT_FIELDS, mapping))
 
 
 def experiment_config_to_mapping(config: ExperimentConfig) -> dict[str, str]:
-    """Flat text form of a config; parse/coerce round-trips to an equal
-    config, and equal configs render to identical text."""
-    out = {
-        "n": str(config.n),
-        "p": str(config.p),
-        "k": str(config.k),
-        "sigma": repr(config.sigma),
-        "eps": repr(config.eps),
-        "estimator_id": config.estimator_id,
-        "amplitudes": ", ".join(repr(a) for a in config.amplitudes),
-        "reps": str(config.reps),
-        "master_seed": str(config.master_seed),
-        "slope_q": repr(config.slope_q),
-        "amplitude_unit": config.amplitude_unit,
-        "support_rule": config.support_rule,
-    }
-    if config.noise_scale is not None:
-        out["noise_scale"] = repr(config.noise_scale)
-    return out
-
-
-_LEMMA_REQUIRED = {
-    "n": _coerce_int,
-    "p": _coerce_int,
-    "k": _coerce_int,
-    "sigma": _coerce_float,
-    "eps": _coerce_float,
-}
-
-# defaults for the per-lemma knobs; amplitude is in threshold units,
-# mirroring ExperimentConfig
-_LEMMA_OPTIONAL = {
-    "amplitude": (_coerce_float, 4.0),
-    "k_star": (_coerce_int, None),
-    "delta0": (_coerce_float, None),
-    "delta1": (_coerce_float, 0.02),
-    "delta2": (_coerce_float, 0.02),
-    "delta3": (_coerce_float, 0.05),
-    "u_samples": (_coerce_int, 64),
-    "q": (_coerce_float, 2.0),
-    "restarts": (_coerce_int, 16),
-}
-
-# every key of the settings that lemma_config_from_mapping returns
-LEMMA_FIELDS = (*_LEMMA_REQUIRED, *_LEMMA_OPTIONAL)
+    """Flat text form of a config, without the fields that are None;
+    parse/coerce round-trips to an equal config, and equal configs render to
+    identical text."""
+    values = {key: getattr(config, key) for key in EXPERIMENT_FIELDS}
+    return {key: _write(key, value) for key, value in values.items() if value is not None}
 
 
 def lemma_config_from_mapping(mapping: dict[str, str]) -> dict:
-    """Typed settings for the proof-lemma Monte Carlo drivers.
-
-    k_star defaults to 2k and delta0 to the conditioning-event value for
-    eps (resolved by the drivers). sigma must be positive: every driver
-    feeds a penalized fit whose level comes from sigma.
+    """Typed settings for the proof-lemma Monte Carlo drivers, one key per
+    LEMMA_FIELDS. sigma must be positive: every driver feeds a penalized fit
+    whose level comes from sigma.
     """
-    known = set(_LEMMA_REQUIRED) | set(_LEMMA_OPTIONAL)
-    unknown = sorted(set(mapping) - known)
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    missing = sorted(set(_LEMMA_REQUIRED) - set(mapping))
-    if missing:
-        raise ValueError(f"missing config keys: {', '.join(missing)}")
-    out: dict = {key: coerce(key, mapping[key]) for key, coerce in _LEMMA_REQUIRED.items()}
-    for key, (coerce, default) in _LEMMA_OPTIONAL.items():
-        out[key] = coerce(key, mapping[key]) if key in mapping else default
+    out = _read_fields(LEMMA_FIELDS, mapping)
     if out["k_star"] is None:
         out["k_star"] = 2 * out["k"]
     check_lemma_settings(out)
@@ -209,8 +197,8 @@ def check_lemma_settings(settings: dict) -> None:
     a non-finite real, k outside [1, p), sigma not positive, or k_star
     outside (k, p). ``replay`` applies the same rules to a manifest's
     settings, which can be edited by hand."""
-    for key in ("sigma", "eps", "amplitude", "delta0", "delta1", "delta2", "delta3", "q"):
-        if settings[key] is not None and not math.isfinite(settings[key]):
+    for key in LEMMA_FIELDS:
+        if FIELD_KINDS[key] is REAL and settings[key] is not None and not math.isfinite(settings[key]):
             raise ValueError(f"config key {key!r} must be finite, got {settings[key]}")
     if not 1 <= settings["k"] < settings["p"]:
         raise ValueError(f"need 1 <= k < p, got k={settings['k']}, p={settings['p']}")

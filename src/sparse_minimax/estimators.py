@@ -523,9 +523,12 @@ def mle_best_subset(X, y, k: int, enum_cap: int = 10**6) -> EstimatorResult:
     if k > n:
         raise ValueError(f"need k <= n for least squares on supports, got k={k}, n={n}")
     count = _enum_count(p, k, enum_cap, "mle_best_subset")
+    yty = float(y @ y)
+    if not math.isfinite(yty):
+        # every residual sum of squares would be NaN, and no support kept
+        raise ValueError(f"mle_best_subset: y'y overflows a float (max |y_i| = {float(np.abs(y).max()):.3g})")
 
     c = X.T @ y
-    yty = float(y @ y)
     gram = X.T @ X
 
     best_rss = math.inf

@@ -93,6 +93,7 @@ class ExperimentConfig:
             raise ValueError(f"amplitude_unit must be 'threshold' or 'absolute', got {self.amplitude_unit!r}")
         if self.support_rule not in ("first_k", "random"):
             raise ValueError(f"support_rule must be 'first_k' or 'random', got {self.support_rule!r}")
+        predicted_ratio(self.n, self.p, self.k, self.eps)  # refuses an eps it cannot report
 
     @property
     def sigma_eff(self) -> float:
@@ -221,7 +222,10 @@ def predicted_ratio(n: int, p: int, k: int, eps: float) -> float:
     (1+eps)^2 + 1/(2 log(p/k)) independent of sigma."""
     if not 1 <= k < p:
         raise ValueError(f"need 1 <= k < p, got k={k}, p={p}")
-    return (1.0 + eps) ** 2 + 1.0 / (2.0 * math.log(p / k))
+    try:
+        return (1.0 + eps) ** 2 + 1.0 / (2.0 * math.log(p / k))
+    except OverflowError:
+        raise ValueError(f"eps is too large: (1 + eps)^2 overflows a float, got eps={eps}") from None
 
 
 def map_replicates(n: int, p: int, seed: int, reps: int, fn, threads: int | None = None) -> list:

@@ -566,7 +566,12 @@ def check_tail_bound(lemma_id: str, grid=None, reps: int = 10_000, seed: int = 0
         raise ValueError(f"{lemma_id}: grid must hold at least one point")
     for point in points:
         _check_point(lemma_id, row_spec.default_grid[0], point)
-    bounds = [float(row_spec.bound(point)) for point in points]
+    bounds = []
+    for point in points:
+        try:
+            bounds.append(float(row_spec.bound(point)))
+        except OverflowError:
+            raise ValueError(f"{lemma_id}: the bound overflows a float at grid point {point}") from None
     spec = SeedSpec(seed)
 
     rows = []

@@ -5,15 +5,18 @@ import ast
 import dataclasses
 import functools
 import hashlib
+import inspect
 import json
 import math
 import pathlib
 import threading
 
+import numpy as np
 import pytest
 from conftest import shared_pass
 
 from sparse_minimax import _kernels, cli, risk, rng
+from sparse_minimax import config as config_mod
 from sparse_minimax.cli import PROOF_LEMMAS, _produce_check_lemma, run
 from sparse_minimax.config import lemma_config_from_mapping, parse_grid_text
 from sparse_minimax.design import gen_design
@@ -157,6 +160,18 @@ def test_replay_flags_missing_file(tmp_path, risk_config, capsys):
     (out / "risk_oracle.tsv").unlink()
     assert run(["replay", str(out / "manifest.json")]) == 1
     assert "missing output file" in capsys.readouterr().err
+
+
+def test_replay_looks_for_the_output_files_before_any_draw(tmp_path, risk_config, monkeypatch, capsys):
+    # before, replay reran the whole run and only then found a file missing
+    _, out = _run_simulate(tmp_path, risk_config)
+    (out / "risk_oracle.tsv").unlink()
+    drawn = []
+    monkeypatch.setattr(risk, "gen_design", lambda *args: drawn.append(args))
+    monkeypatch.setattr(rng.SeedSpec, "generator", lambda *args: drawn.append(args))
+    assert run(["replay", str(out / "manifest.json")]) == 1
+    assert capsys.readouterr().err == f"missing output file: {out / 'risk_oracle.tsv'}\n"
+    assert drawn == []
 
 
 def test_replay_rejects_foreign_json(tmp_path, capsys):
@@ -556,6 +571,24 @@ def test_check_lemma_refuses_an_option_that_does_not_apply(tmp_path, monkeypatch
     assert drawn == []
 
 
+@pytest.mark.parametrize("estimator", ["mle", "aggregated"])
+def test_a_response_too_large_for_best_subset_is_an_error_line(tmp_path, capsys, estimator):
+    # the aggregated estimator's event fails here, so it takes the
+    # best-subset branch; before, both ended in an AssertionError traceback
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(
+        "n = 5\np = 6\nk = 1\nsigma = 1.0\neps = 0.5\namplitudes = 1e300\nreps = 1\n"
+        f"master_seed = 3\nestimator_id = {estimator}\n"
+    )
+    out = tmp_path / "out"
+    out.mkdir()
+    with np.errstate(over="ignore"):  # the overflow itself warns
+        assert run(["simulate-risk", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: mle_best_subset: y'y overflows a float") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
 def test_sweep_refuses_an_empty_estimator_list_by_name(tmp_path, risk_config, capsys):
     assert run(["sweep", "--config", risk_config, "--estimators", " , ", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "error: estimators must name at least one estimator\n"
@@ -592,6 +625,29 @@ def test_one_function_runs_a_command():
     package = pathlib.Path(cli.__file__).parent
     splitting = sorted(path.name for path in package.glob("*.py") if 'split("=", 1)' in path.read_text(encoding="utf-8"))
     assert splitting == ["config.py"]
+
+
+def test_config_fields_are_stated_once_in_config():
+    # cli writes down no list of config field names of its own, and every
+    # name that _fields, _check_field or check_lemma_settings reads has its
+    # kind in config's table
+    known = set(config_mod.FIELD_KINDS)
+    read = set()
+    for node in ast.walk(ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Set, ast.Tuple, ast.List)):
+            names = {elt.value for elt in node.elts if isinstance(elt, ast.Constant)} & known
+            assert not names, f"cli line {node.lineno} lists config fields {sorted(names)}"
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_fields", "_check_field"):
+            for arg in node.args[2:] if node.func.id == "_fields" else node.args[1:2]:
+                if isinstance(arg, ast.Starred):
+                    read.update(getattr(cli, arg.value.id))
+                elif isinstance(arg, ast.Constant):
+                    read.add(arg.value)
+    for node in ast.walk(ast.parse(inspect.getsource(config_mod.check_lemma_settings))):
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+            read.add(node.slice.value)
+    assert {"experiment", "estimators", "settings", "grid", "lemma", "eps", "k_star", "outputs"} <= read
+    assert sorted(read - known) == []
 
 
 def test_one_function_turns_a_replicate_into_a_design():

@@ -169,6 +169,15 @@ def test_experiment_config_rejects_non_finite_floats(field, bad, at):
         ExperimentConfig(**kwargs)
 
 
+def test_experiment_config_refuses_an_eps_whose_square_overflows():
+    # predicted_ratio needs (1 + eps)^2; before, an OverflowError traceback
+    # once the run had drawn every design
+    mapping = dict(parse_kv_text(BASIC), eps="1e300")
+    with pytest.raises(ValueError, match=r"^eps is too large: \(1 \+ eps\)\^2 overflows a float, got eps=1e\+300$"):
+        experiment_config_from_mapping(mapping)
+    assert experiment_config_from_mapping(dict(mapping, eps="1e150")).eps == 1e150
+
+
 @given(key=st.sampled_from(["sigma", "eps", "amplitude", "delta0", "delta1", "delta2", "delta3", "q"]),
        bad=NON_FINITE)
 def test_lemma_config_rejects_non_finite_floats(key, bad):

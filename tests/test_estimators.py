@@ -484,6 +484,16 @@ def test_mle_k_beyond_n_rejected(rng):
         mle_best_subset(X, np.zeros(3), 4)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_mle_refuses_a_response_whose_square_overflows_by_name(rng, scale):
+    # y'y is inf, so every residual sum of squares would be NaN and no
+    # support kept; before, this ended in a bare AssertionError
+    X = rng.standard_normal((5, 6))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"^mle_best_subset: y'y overflows a float"):
+        mle_best_subset(X, scale * rng.standard_normal(5), 1)
+    assert np.isfinite(mle_best_subset(X, 1e150 * rng.standard_normal(5), 1).objective)
+
+
 def test_oracle_estimator_formula(rng):
     n, p = 30, 10
     X = rng.standard_normal((n, p))

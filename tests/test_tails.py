@@ -206,6 +206,16 @@ def test_empty_grid_is_rejected_before_any_cell(monkeypatch, grid):
         check_tail_bound("gauss_max", grid=grid, reps=100)
 
 
+def test_a_grid_point_whose_bound_overflows_is_refused_before_any_cell(monkeypatch):
+    # exp(-u^2/2) at u = 1e300; before, an OverflowError traceback
+    def no_draws(*args):
+        raise AssertionError("a cell was simulated before the grid was checked")
+
+    monkeypatch.setitem(REGISTRY, "gauss_max", dataclasses.replace(REGISTRY["gauss_max"], simulate=no_draws))
+    with pytest.raises(ValueError, match=r"^gauss_max: the bound overflows a float at grid point \{'p': 50, 'u': 1e\+300\}$"):
+        check_tail_bound("gauss_max", grid=[{"p": 50, "u": 0.5}, {"p": 50, "u": 1e300}], reps=100)
+
+
 def test_cheap_rows_pass_at_modest_reps():
     for lemma_id, reps in [("chi2_lower", 2000), ("gauss_max", 2000), ("topk_avg", 1000)]:
         report = check_tail_bound(lemma_id, reps=reps)
