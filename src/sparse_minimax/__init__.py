@@ -77,7 +77,7 @@ from .tails import (
     sup_xtz_brute,
 )
 
-__version__ = "0.1.8"
+__version__ = "0.1.9"
 
 # every public name imported above, and the version
 __all__ = [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)]

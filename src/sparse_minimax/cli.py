@@ -96,8 +96,33 @@ def _atomic_write(path: str, data: bytes) -> None:
 
 
 def _json_bytes(obj) -> bytes:
-    """Strict JSON: a NaN or infinity raises instead of being written."""
-    return (json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
+    """Strict JSON: a NaN or infinity is refused, naming its field, instead
+    of being written."""
+    try:
+        return (json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
+    except ValueError:
+        found = _non_finite(obj, "")
+        if found is None:
+            raise
+        raise ValueError(f"{found[0]} must be finite to be written as JSON, got {found[1]}") from None
+
+
+def _non_finite(obj, path: str):
+    """(path, value) of the first NaN or infinity in obj, in the order
+    _json_bytes writes it, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else (path, obj)
+    if isinstance(obj, dict):
+        items = ((f"{path}.{key}" if path else str(key), obj[key]) for key in sorted(obj))
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{path}[{i}]", value) for i, value in enumerate(obj))
+    else:
+        return None
+    for where, value in items:
+        found = _non_finite(value, where)
+        if found is not None:
+            return found
+    return None
 
 
 def _require_out_dir(out: str) -> None:

@@ -194,15 +194,19 @@ def lemma_config_from_mapping(mapping: dict[str, str]) -> dict:
 
 def check_lemma_settings(settings: dict) -> None:
     """Refuse, by name, typed lemma settings that a driver cannot run:
-    a non-finite real, k outside [1, p), sigma not positive, or k_star
-    outside (k, p). ``replay`` applies the same rules to a manifest's
-    settings, which can be edited by hand."""
+    a non-finite real, n below 1, k outside [1, p), sigma not positive, eps
+    negative, or k_star outside (k, p). ``replay`` applies the same rules to
+    a manifest's settings, which can be edited by hand."""
     for key in LEMMA_FIELDS:
         if FIELD_KINDS[key] is REAL and settings[key] is not None and not math.isfinite(settings[key]):
             raise ValueError(f"config key {key!r} must be finite, got {settings[key]}")
+    if settings["n"] < 1:
+        raise ValueError(f"n must be at least 1, got {settings['n']}")
     if not 1 <= settings["k"] < settings["p"]:
         raise ValueError(f"need 1 <= k < p, got k={settings['k']}, p={settings['p']}")
     if settings["sigma"] <= 0:
         raise ValueError(f"sigma must be positive for lemma checks, got {settings['sigma']}")
+    if settings["eps"] < 0:
+        raise ValueError(f"eps must be nonnegative, got {settings['eps']}")
     if not settings["k"] < settings["k_star"] < settings["p"]:
         raise ValueError(f"need k < k_star < p, got k_star={settings['k_star']}")

@@ -194,6 +194,16 @@ def _finite_vector(v, p: int, name: str) -> np.ndarray:
     return v
 
 
+def _stopping_tol(tol, X, y, xty):
+    """A fit's stopping tolerance, ``tol`` or by default
+    1e-8 * max(1, ||X'y||_inf / n), and X'y, formed only if that needs it."""
+    if tol is None:
+        if xty is None:
+            xty = _k.xt_dot(X, y)
+        tol = 1e-8 * max(1.0, float(np.abs(xty).max(initial=0.0)) / X.shape[0])
+    return tol, xty
+
+
 def lasso_fit(X, y, config: LassoConfig, b0=None, col_sq=None, xty=None, g0=None) -> EstimatorResult:
     """Solve argmin_b (1/2n)||y - Xb||^2 + lam*||b||_1 by cyclic coordinate
     minimization over an active set that grows on KKT violations.
@@ -234,12 +244,7 @@ def lasso_fit(X, y, config: LassoConfig, b0=None, col_sq=None, xty=None, g0=None
     else:
         g = _k.xt_dot(X, r)
 
-    tol = config.tol
-    if tol is None:
-        if xty is None:
-            xty = _k.xt_dot(X, y)
-        tol = 1e-8 * max(1.0, np.abs(xty).max(initial=0.0) / n)
-
+    tol, _ = _stopping_tol(config.tol, X, y, xty)
     active = np.flatnonzero((np.abs(g) > lam_n) | (w != 0.0))
     delta_tol = 0.1 * tol * n / max(1.0, float(col_sq.max(initial=0.0)))
     total = 0
@@ -446,11 +451,7 @@ def slope_fit(X, y, config: SlopeConfig, b0=None, xty=None, g0=None) -> Estimato
         xty = _design_vector(xty, p, "xty")
     if g0 is not None:
         g0 = _finite_vector(g0, p, "g0")
-    tol = config.tol
-    if tol is None:
-        if xty is None:
-            xty = _k.xt_dot(X, y)
-        tol = 1e-8 * max(1.0, float(np.abs(xty).max(initial=0.0)) / n)
+    tol, xty = _stopping_tol(config.tol, X, y, xty)
     if g0 is None and b0 is None:
         g0 = xty  # r = y, so X'r = X'y
 
@@ -579,9 +580,7 @@ def oracle_estimator(beta, X, z, lam: float, xtz=None) -> np.ndarray:
     return soft_threshold(beta + xtz / n, lam)
 
 
-def aggregated_estimate(
-    instance, k: int, eps: float, restarts: int = 64, seed=0, lam: float | None = None, report=None
-):
+def aggregated_estimate(instance, k: int, eps: float, restarts: int = 64, seed=0, lam: float | None = None):
     """Lasso at level lambda_eps when the conditioning event holds, exact
     best-subset search otherwise.
 
@@ -591,17 +590,14 @@ def aggregated_estimate(
     event_a_check). Both branches are valid estimators either way, and the
     report records which test failed. ``lam`` overrides the Lasso level,
     for callers that set it from a reference scale instead of the
-    instance's own noise level. ``report`` supplies the EventAReport of
-    this instance's design, for callers that already checked it with the
-    same k, eps, restarts and seed (e.g. once per design across signals).
+    instance's own noise level.
     """
     from .diagnostics import event_a_check
 
     X = instance.design.entries
     y = instance.response
     n, p = X.shape
-    if report is None:
-        report = event_a_check(X, k, eps, restarts=restarts, seed=seed)
+    report = event_a_check(X, k, eps, restarts=restarts, seed=seed)
     if report.holds:
         if lam is None:
             sigma = instance.noise.sigma

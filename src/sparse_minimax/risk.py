@@ -16,13 +16,13 @@ from functools import partial
 import numpy as np
 
 from . import _kernels as _k
+from . import diagnostics
 from ._special import norm_cdf
 from .design import gen_design, make_signal, synthesize
 from .estimators import (
     LassoConfig,
     SlopeConfig,
     _spectral_bound,
-    aggregated_estimate,
     lambda_eps,
     lasso_fit,
     mle_best_subset,
@@ -253,72 +253,72 @@ def _replicate_errors(config: ExperimentConfig, ids, lam: float, seq, amps_abs, 
     """Squared errors and convergence flags, each (len(ids), n_amplitudes),
     for one replicate of every estimator in ``ids``.
 
-    Pure function of (config, ids, spec, design): the noise and any support
-    draw come from the replicate's own stream. The design's column norms,
-    X'z, SLOPE's start step and the aggregated estimator's event check are
-    computed once per replicate; each depends only on the design and the
-    noise, which every amplitude shares (z is the noise role's slot 0).
+    Pure function of (config, ids, spec, design). One ``make_signal`` and
+    one ``synthesize`` draw the replicate's support S (``first_k``, or the
+    support role's slot 0 for ``random``) and noise z (the noise role's
+    slot 0); amplitude a has the response y_a = X_S (a 1) + z, formed as
+    ``synthesize`` forms it (y = z at a = 0). The column norms, X'z,
+    SLOPE's start step and the event check are computed once per replicate
+    too. The aggregated column is the Lasso's where the event holds and
+    best subset's where it fails, and each distinct fit runs once per
+    amplitude, however many ids ask for it.
 
-    Every nonzero amplitude a has the same support S (``first_k``, or the
-    support role's slot 0 for ``random``), and amplitude 0 has y = z, so
-    y_a = a X_S 1 + z throughout. With h = X'(X_S 1), taken once at the
-    first nonzero amplitude, X'y_a = X'z + a h, and the Lasso's and SLOPE's
-    start gradients X'(y_a - X b) at the previous amplitude's solution b
-    are that fit's final ``gradient`` plus (a - a_prev) h. Both fits take
-    those as ``xty`` and ``g0`` instead of full-design products; each still
-    certifies its result on a direct product. Each estimator's bytes are as
-    when it runs alone.
+    With h = X'(X_S 1), taken once at the first nonzero amplitude,
+    X'y_a = X'z + a h, and the Lasso's and SLOPE's start gradients
+    X'(y_a - X b) at the previous amplitude's solution b are that fit's
+    final ``gradient`` plus (a - a_prev) h. Both fits take those as ``xty``
+    and ``g0`` instead of full-design products; each still certifies its
+    result on a direct product. Each estimator's bytes are as when it runs
+    alone.
     """
     X = design.entries
-    iterative = "lasso" in ids or "slope" in ids  # the fits that use col_sq and X'y
+    if "aggregated" in ids:  # looked up at call time, so a wrapper of diagnostics' check sees it
+        branch = "lasso" if diagnostics.event_a_check(X, config.k, config.eps, seed=spec).holds else "mle"
+    column = {est: branch if est == "aggregated" else est for est in ids}
+    fits = tuple(dict.fromkeys(column.values()))
+    iterative = "lasso" in fits or "slope" in fits  # the fits that use col_sq and X'y
     col_sq = _k.col_sumsq(X) if iterative else None
-    lip = _spectral_bound(X, col_sq) if "slope" in ids else None
-    xtz = h = None
-    event = None  # the aggregated estimator's event check, a function of the design alone
+    lip = _spectral_bound(X, col_sq) if "slope" in fits else None
+    signal = make_signal(config.p, config.k, 1.0, config.support_rule, spec)  # S for every amplitude
+    z = synthesize(design, signal, config.sigma, spec).noise.z
+    support = signal.support
+    X_S = X[:, support]
+    xtz = _k.xt_dot(X, z) if iterative or "oracle" in fits else None
+    h = None
 
-    errs = np.empty((len(ids), len(amps_abs)))
-    flags = np.zeros((len(ids), len(amps_abs)), dtype=bool)
-    warm = [None] * len(ids)  # previous amplitude's solution; same design, so a good start
-    grads = [None] * len(ids)  # X'(y - X warm) at the previous amplitude
+    errs = np.empty((len(fits), len(amps_abs)))
+    flags = np.zeros((len(fits), len(amps_abs)), dtype=bool)
+    warm = [None] * len(fits)  # previous amplitude's solution; same design, so a good start
+    grads = [None] * len(fits)  # X'(y - X warm) at the previous amplitude
     for a, amp in enumerate(amps_abs):
-        signal = make_signal(config.p, config.k, amp, config.support_rule, spec)
-        inst = synthesize(design, signal, config.sigma, spec)
-        beta = signal.dense()
-        if xtz is None and (iterative or "oracle" in ids):
-            xtz = _k.xt_dot(X, inst.noise.z)
+        y = X_S @ np.full(config.k, amp) + z if amp else z
+        beta = np.zeros(config.p)
+        beta[support] = amp
         if iterative:
             if amp and h is None:
-                support = signal.support
                 h = _k.xt_dot(X, _k.x_dot_sparse(X, support, np.ones(support.size)))
             xty = xtz + amp * h if amp else xtz
             shift = amp - amps_abs[a - 1] if a else 0.0  # the first amplitude carries no gradient
-        for e, est in enumerate(ids):
+        for e, est in enumerate(fits):
             if est == "oracle":
-                beta_hat = oracle_estimator(beta, X, inst.noise.z, lam, xtz=xtz)
-            elif est in ("lasso", "slope"):
+                beta_hat = oracle_estimator(beta, X, z, lam, xtz=xtz)
+            elif est == "mle":
+                beta_hat = mle_best_subset(X, y, config.k).beta_hat
+            else:
                 g0 = grads[e]
                 if g0 is not None and shift:
                     g0 = g0 + shift * h
                 if est == "lasso":
-                    res = lasso_fit(
-                        X, inst.response, LassoConfig(lam=lam), b0=warm[e], col_sq=col_sq, xty=xty, g0=g0
-                    )
+                    res = lasso_fit(X, y, LassoConfig(lam=lam), b0=warm[e], col_sq=col_sq, xty=xty, g0=g0)
                 else:
-                    res = slope_fit(
-                        X, inst.response, SlopeConfig(lambda_seq=seq, lipschitz=lip), b0=warm[e], xty=xty, g0=g0
-                    )
+                    res = slope_fit(X, y, SlopeConfig(lambda_seq=seq, lipschitz=lip), b0=warm[e], xty=xty, g0=g0)
                 beta_hat = warm[e] = res.beta_hat
                 grads[e] = res.gradient
                 flags[e, a] = not res.converged
-            elif est == "mle":
-                beta_hat = mle_best_subset(X, inst.response, config.k).beta_hat
-            else:
-                res, event = aggregated_estimate(inst, config.k, config.eps, seed=spec, lam=lam, report=event)
-                beta_hat = res.beta_hat
-                flags[e, a] = not res.converged
             diff = beta_hat - beta
             errs[e, a] = float(diff @ diff)
-    return errs, flags
+    rows = [fits.index(column[est]) for est in ids]
+    return errs[rows], flags[rows]
 
 
 def _risk_report(config: ExperimentConfig, est: str, errors: np.ndarray, flags: np.ndarray) -> RiskReport:

@@ -115,30 +115,47 @@ def test_thread_count_never_changes_bytes(tmp_path):
         assert (one / name).read_bytes() == (eight / name).read_bytes()
 
 
-def test_aggregated_bytes_match_a_check_per_amplitude(tmp_path, monkeypatch):
-    # the sweep reuses each replicate's event report across amplitudes; a
-    # fresh check at every amplitude must give the same files
-    import sparse_minimax.risk as risk_mod
+# the aggregated estimator's event holds on every replicate of the first and
+# fails on every replicate of the second
+_ON_EVENT_CFG = "n = 1000\np = 40\nk = 2\nsigma = 1.0\neps = 2.0\namplitudes = 4.0, 8.0, 16.0\nreps = 3\nmaster_seed = 11\n"
+_OFF_EVENT_CFG = "n = 30\np = 12\nk = 2\nsigma = 1.0\neps = 0.1\namplitudes = 2.0, 4.0\nreps = 3\nmaster_seed = 11\n"
 
+
+@pytest.mark.parametrize("text, branch, amps", [(_ON_EVENT_CFG, "lasso", 3), (_OFF_EVENT_CFG, "mle", 2)])
+def test_the_aggregated_column_is_the_sweeps_own_lasso_or_best_subset_column(tmp_path, monkeypatch, text, branch, amps):
+    import sparse_minimax.diagnostics as diag_mod
+
+    calls = dict.fromkeys(("lasso_fit", "mle_best_subset", "synthesize", "event_a_check"), 0)
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return real(*args, **kw)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("lasso_fit", "mle_best_subset", "synthesize"):
+        counting(risk, name)
+    counting(diag_mod, "event_a_check")
     cfg = tmp_path / "risk.cfg"
-    cfg.write_text(RISK_CFG.replace("oracle", "aggregated"))
-    runs = {}
+    cfg.write_text(text)
+    outs = {}
     for threads in ("1", "2"):
-        runs[threads] = tmp_path / f"reused{threads}"
-        runs[threads].mkdir()
-        assert run(["simulate-risk", "--config", str(cfg), "--out", str(runs[threads]), "--threads", threads]) == 0
-    real = risk_mod.aggregated_estimate
-
-    def fresh_check(*args, report=None, **kw):
-        return real(*args, **kw)
-
-    monkeypatch.setattr(risk_mod, "aggregated_estimate", fresh_check)
-    fresh = tmp_path / "fresh"
-    fresh.mkdir()
-    assert run(["simulate-risk", "--config", str(cfg), "--out", str(fresh), "--threads", "1"]) == 0
-    for out in runs.values():
-        for name in ("risk_aggregated.csv", "risk_aggregated.tsv", "summary_aggregated.json"):
-            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+        outs[threads] = out = tmp_path / threads
+        out.mkdir()
+        argv = ["sweep", "--config", str(cfg), "--estimators", "lasso,mle,aggregated", "--out", str(out)]
+        assert run([*argv, "--threads", threads]) == 0
+    # two runs of 3 replicates: one fit of each estimator per amplitude, and
+    # one noise draw and one event check per replicate
+    assert calls == {"lasso_fit": 2 * 3 * amps, "mle_best_subset": 2 * 3 * amps, "synthesize": 2 * 3, "event_a_check": 2 * 3}
+    for out in outs.values():
+        csv = (out / "risk_aggregated.csv").read_text().replace(",aggregated,", f",{branch},")
+        assert csv == (out / f"risk_{branch}.csv").read_text()
+        assert (out / "risk_aggregated.tsv").read_bytes() == (out / f"risk_{branch}.tsv").read_bytes()
+        for name in ("risk_aggregated.csv", "risk_aggregated.tsv", "summary_aggregated.json", "sweep_summary.json"):
+            assert (out / name).read_bytes() == (outs["1"] / name).read_bytes()
 
 
 def test_replay_confirms_fresh_run(tmp_path, risk_config, capsys):
@@ -458,14 +475,18 @@ def test_bad_arguments_are_refused_before_any_draw(tmp_path, monkeypatch, capsys
     [
         ("check-lemma", {"lemma": "gap", "reps": 0, "seed": 0}, "reps must be at least 1, got 0"),
         ("diagnose-design", {"n": 40, "p": 30, "k": 0, "eps": 0.1, "restarts": 4, "seed": 0}, "need 1 <= k < p"),
+        ("check-lemma", {"lemma": "gap", "reps": 3, "seed": 0, "settings": {"n": 0}}, "n must be at least 1, got 0"),
+        ("check-lemma", {"lemma": "gap", "reps": 3, "seed": 0, "settings": {"eps": -0.5}}, "eps must be nonnegative, got -0.5"),
     ],
 )
 def test_replay_refuses_bad_arguments_before_any_draw(tmp_path, monkeypatch, capsys, subcommand, config, message):
     drawn = []
     for module in (cli, risk):
         monkeypatch.setattr(module, "gen_design", lambda *args: drawn.append(args))
+    monkeypatch.setattr(cli, "_admit", lambda *args: drawn.append(args))
     if subcommand == "check-lemma":
-        config = dict(config, settings=lemma_config_from_mapping({"n": "40", "p": "20", "k": "2", "sigma": "1.0", "eps": "0.1"}))
+        settings = lemma_config_from_mapping({"n": "40", "p": "20", "k": "2", "sigma": "1.0", "eps": "0.1"})
+        config = dict(config, settings={**settings, **config.get("settings", {})})
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(
         {"format": cli._MANIFEST_MAGIC, "version": cli.__version__, "subcommand": subcommand, "config": config, "outputs": {}}
@@ -473,6 +494,21 @@ def test_replay_refuses_bad_arguments_before_any_draw(tmp_path, monkeypatch, cap
     assert run(["replay", str(manifest)]) == 1
     assert message in capsys.readouterr().err
     assert drawn == []
+
+
+def test_a_report_value_json_cannot_hold_is_refused_by_name(tmp_path, capsys):
+    # sigma = 1e300 overflows the gap driver's margins; the refusal comes
+    # after the draws, but names the field and writes nothing
+    cfg = tmp_path / "lemma.cfg"
+    cfg.write_text(LEMMA_CFG.replace("sigma = 1.0", "sigma = 1e300"))
+    out = tmp_path / "out"
+    out.mkdir()
+    with np.errstate(over="ignore"):
+        assert run(["check-lemma", "--lemma", "gap", "--config", str(cfg), "--reps", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: report.min_margin must be finite to be written as JSON, got inf\n"
+    assert list(out.iterdir()) == []
+    with pytest.raises(ValueError, match=r"^a\[1\]\.b must be finite to be written as JSON, got nan$"):
+        cli._json_bytes({"a": [1.0, {"c": 2.0, "b": math.nan}]})
 
 
 _EXPERIMENT = {"n": "30", "p": "12", "k": "2", "sigma": "1.0", "eps": "0.1", "amplitudes": "2.0", "reps": "2", "master_seed": "1"}

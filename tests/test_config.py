@@ -145,6 +145,10 @@ def test_lemma_validation():
         lemma_config_from_mapping(parse_kv_text("n = 10\np = 5\n"))
     with pytest.raises(ValueError, match="sigma must be positive"):
         lemma_config_from_mapping(parse_kv_text(LEMMA.replace("sigma = 1.0", "sigma = 0")))
+    with pytest.raises(ValueError, match="n must be at least 1, got 0"):
+        lemma_config_from_mapping(parse_kv_text(LEMMA.replace("n = 200", "n = 0")))
+    with pytest.raises(ValueError, match="eps must be nonnegative, got -0.5"):
+        lemma_config_from_mapping(parse_kv_text(LEMMA.replace("eps = 0.1", "eps = -0.5")))
     with pytest.raises(ValueError, match="k_star"):
         lemma_config_from_mapping(parse_kv_text(LEMMA + "k_star = 3\n"))
     with pytest.raises(ValueError, match="k_star"):

@@ -14,7 +14,7 @@ import sparse_minimax.rng as rng_mod
 from sparse_minimax import _kernels, cli, design, tails
 from sparse_minimax.config import lemma_config_from_mapping
 from sparse_minimax.design import gen_design, make_signal, synthesize
-from sparse_minimax.estimators import EstimatorResult, lambda_eps, mle_best_subset
+from sparse_minimax.estimators import EstimatorResult, aggregated_estimate, lambda_eps, mle_best_subset
 from sparse_minimax.risk import (
     ESTIMATOR_IDS,
     ExperimentConfig,
@@ -496,6 +496,38 @@ def test_aggregated_checks_the_event_once_per_replicate(monkeypatch):
     report = empirical_risk(cfg, threads=1)
     assert len(calls) == cfg.reps
     assert report.flagged == 0
+
+
+@pytest.mark.parametrize("n, p, eps", [(1000, 40, 2.0), (30, 12, 0.1)])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_the_sweep_takes_the_branch_of_aggregated_estimate_on_every_replicate(n, p, eps, threads):
+    # the library rule, run on each amplitude's instance from a cold start,
+    # picks the column the sweep reports; best subset agrees to the bit, and
+    # the warm-started Lasso within what both fits' KKT tolerance allows
+    cfg = ExperimentConfig(
+        n=n, p=p, k=2, sigma=1.0, eps=eps, estimator_id="aggregated",
+        amplitudes=(2.0, 4.0, 8.0), reps=3, master_seed=11,
+    )
+    reports = empirical_risks(cfg, ("lasso", "mle", "aggregated"), threads=threads)
+    lam = lambda_eps(cfg.eps, cfg.sigma, n, p, cfg.k)
+    for r in range(cfg.reps):
+        spec = SeedSpec(cfg.master_seed, r)
+        design = gen_design(n, p, spec)
+        X = design.entries
+        curvature = np.linalg.eigvalsh(X.T @ X / n)[0]
+        for a, amp in enumerate(cfg.amplitudes):
+            inst = synthesize(design, make_signal(p, cfg.k, amp * cfg.amplitude_scale), cfg.sigma, spec)
+            res, _ = aggregated_estimate(inst, cfg.k, cfg.eps, seed=spec, lam=lam)
+            got = reports["aggregated"].errors[a, r]
+            assert got == reports[res.branch].errors[a, r]
+            diff = res.beta_hat - inst.signal.dense()
+            if res.branch == "mle":
+                assert got == diff @ diff
+            else:
+                # a KKT residual of at most tol in every coordinate puts a fit
+                # within sqrt(p) tol / curvature of the solution
+                tol = 1e-8 * max(1.0, np.abs(X.T @ inst.response).max() / n)
+                assert abs(math.sqrt(got) - math.sqrt(diff @ diff)) <= 2.0 * math.sqrt(p) * tol / curvature
 
 
 def test_empirical_risks_validation():
