@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from .risk import ExperimentConfig
+from .risk import ExperimentConfig, check_response_energy
 
 
 def _lines(text: str):
@@ -194,7 +194,8 @@ def lemma_config_from_mapping(mapping: dict[str, str]) -> dict:
 
 def check_lemma_settings(settings: dict) -> None:
     """Refuse, by name, typed lemma settings that a driver cannot run:
-    a non-finite real, n below 1, k outside [1, p), sigma not positive, eps
+    a non-finite real, n below 1, k outside [1, p), sigma not positive,
+    sigma and amplitude whose response energy overflows a float, eps
     negative, or k_star outside (k, p). ``replay`` applies the same rules to
     a manifest's settings, which can be edited by hand."""
     for key in LEMMA_FIELDS:
@@ -206,6 +207,8 @@ def check_lemma_settings(settings: dict) -> None:
         raise ValueError(f"need 1 <= k < p, got k={settings['k']}, p={settings['p']}")
     if settings["sigma"] <= 0:
         raise ValueError(f"sigma must be positive for lemma checks, got {settings['sigma']}")
+    sigma = settings["sigma"]
+    check_response_energy("amplitude", settings["n"], settings["p"], settings["k"], sigma, settings["amplitude"], sigma)
     if settings["eps"] < 0:
         raise ValueError(f"eps must be nonnegative, got {settings['eps']}")
     if not settings["k"] < settings["k_star"] < settings["p"]:

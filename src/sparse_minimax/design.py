@@ -71,6 +71,24 @@ class Instance:
     response: np.ndarray = field(repr=False)
 
 
+def _as_design(X) -> np.ndarray:
+    """X as a 2-D float64 array with contiguous columns, the layout of
+    ``GaussianDesign.entries``; copied only when it is not one already."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"design must be 2-D, got shape {X.shape}")
+    return np.asfortranarray(X)
+
+
+def _as_vector(v, length: int, name: str) -> np.ndarray:
+    """v as a contiguous float64 vector of ``length`` entries; copied only
+    when it is not one already."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (length,):
+        raise ValueError(f"{name} has shape {v.shape}, expected ({length},)")
+    return np.ascontiguousarray(v)
+
+
 def gen_design(n: int, p: int, seed: SeedSpec, threads: int | None = None) -> GaussianDesign:
     """Draw an n x p standard normal design, bit-identical for equal seeds.
 

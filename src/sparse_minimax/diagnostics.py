@@ -13,6 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from . import _kernels as _k
+from .design import _as_design, _as_vector
 from .estimators import _enum_count, soft_threshold
 from .rng import ROLE_RESTART, SeedSpec
 
@@ -69,7 +70,7 @@ class EventAReport:
 
 
 def _finite_col_sumsq(X: np.ndarray) -> np.ndarray:
-    """Column sums of squares of a Fortran-ordered design. A NaN or infinite
+    """Column sums of squares of a converted design. A NaN or infinite
     entry makes their sum non-finite, so the check costs no extra pass."""
     col_sq = _k.col_sumsq(X)
     if not math.isfinite(float(col_sq.sum())):
@@ -79,12 +80,10 @@ def _finite_col_sumsq(X: np.ndarray) -> np.ndarray:
 
 def max_column_norm(X) -> float:
     """Largest Euclidean column norm of X."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"design must be 2-D, got shape {X.shape}")
+    X = _as_design(X)
     if X.shape[1] == 0:
         return 0.0
-    return math.sqrt(float(_finite_col_sumsq(np.asfortranarray(X)).max()))
+    return math.sqrt(float(_finite_col_sumsq(X).max()))
 
 
 def delta_consts(eps: float) -> tuple[float, float]:
@@ -113,7 +112,7 @@ def c0_general(delta0: float, delta1: float, delta2: float, eps: float) -> float
 def sparse_min_eig(X, s: int, enum_cap: int = 10**6) -> float:
     """Exact min over size-s supports of the smallest eigenvalue of
     X_S' X_S / n, i.e. the worst sparse Rayleigh quotient."""
-    X = np.asarray(X, dtype=np.float64)
+    X = _as_design(X)
     n, p = X.shape
     if not 1 <= s <= p:
         raise ValueError(f"need 1 <= s <= p, got s={s}, p={p}")
@@ -264,7 +263,7 @@ def sre_theta_estimate(
     ``col_sq`` supplies X's finite column sums of squares when the caller
     already has them.
     """
-    X = np.asfortranarray(X, dtype=np.float64)
+    X = _as_design(X)
     n, p = X.shape
     if p == 0:
         raise ValueError("design must have at least one column")
@@ -276,8 +275,7 @@ def sre_theta_estimate(
         raise ValueError(f"c0 must be finite and non-negative, got {c0}")
     spec = seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
     rho = (1.0 + c0) * math.sqrt(k)
-    if col_sq is None:
-        col_sq = _finite_col_sumsq(X)
+    col_sq = _finite_col_sumsq(X) if col_sq is None else _as_vector(col_sq, p, "col_sq")
     if rho >= math.sqrt(p):
         theta, witness = _whole_space_theta(X, col_sq, spec)
         return SreEstimate(theta, 0, witness)
@@ -345,9 +343,7 @@ def event_a_check(X, k: int, eps: float, restarts: int = 64, seed: int | SeedSpe
     the descent's upper bound against the target, so it can only fail to
     reject. The report carries both measurements for the caller to judge.
     """
-    X = np.asfortranarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"design must be 2-D, got shape {X.shape}")
+    X = _as_design(X)
     n = X.shape[0]
     delta0, c0 = delta_consts(eps)
     col_sq = _finite_col_sumsq(X)  # one pass serves both branches
@@ -370,7 +366,7 @@ def gram_eig_window(X, S, delta: float) -> tuple[float, float, bool]:
     """Extreme eigenvalues of X_S' X_S / n and whether they fit inside
     [1-delta, 1+delta]. A support larger than n is rank deficient by
     counting, so the window check fails outright."""
-    X = np.asarray(X, dtype=np.float64)
+    X = _as_design(X)
     n, p = X.shape
     idx = np.asarray(S, dtype=np.intp)
     if idx.ndim != 1 or idx.size == 0:

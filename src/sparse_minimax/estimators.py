@@ -1,9 +1,10 @@
 """Coefficient estimators: soft thresholding, Lasso, SLOPE, best-subset
 search, the oracle estimator, and the Lasso/MLE aggregate.
 
-All fits are pure functions of their inputs. Design matrices are converted
-to Fortran order float64 on entry (a copy when the input is C-ordered), so
-column access in the sweep kernels is contiguous.
+All fits are pure functions of their inputs. Designs and vectors are
+converted on entry by ``design._as_design`` and ``design._as_vector`` (a
+copy only when the input is not float64 in their layout), so column access
+in the sweep kernels is contiguous.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from . import _kernels as _k
 from ._special import norm_ppf
+from .design import _as_design, _as_vector
 from .rng import CapacityError
 
 
@@ -152,17 +154,8 @@ def lambda_eps(eps: float, sigma: float, n: int, p: int, k: int) -> float:
     return (1.0 + eps) * sigma * math.sqrt(2.0 * math.log(p / k) / n)
 
 
-def _as_design(X) -> np.ndarray:
-    X = np.asfortranarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"design must be 2-D, got shape {X.shape}")
-    return X
-
-
 def _as_response(y, n: int) -> np.ndarray:
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    if y.shape != (n,):
-        raise ValueError(f"y has shape {y.shape}, expected ({n},)")
+    y = _as_vector(y, n, "y")
     if not np.all(np.isfinite(y)):
         raise ValueError("y must be finite")
     return y
@@ -178,17 +171,9 @@ def _kkt_from_grad(gn: np.ndarray, b: np.ndarray, lam: float) -> float:
     return float(viol.max(initial=0.0))
 
 
-def _design_vector(v, p: int, name: str) -> np.ndarray:
-    """A caller-supplied per-column quantity of the design, shape-checked."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (p,):
-        raise ValueError(f"{name} has shape {v.shape}, expected ({p},)")
-    return v
-
-
 def _finite_vector(v, p: int, name: str) -> np.ndarray:
     """A caller-supplied start point or gradient: shape-checked and finite."""
-    v = _design_vector(v, p, name)
+    v = _as_vector(v, p, name)
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} must be finite")
     return v
@@ -227,9 +212,9 @@ def lasso_fit(X, y, config: LassoConfig, b0=None, col_sq=None, xty=None, g0=None
 
     lam = config.lam
     lam_n = lam * n
-    col_sq = _design_vector(_k.col_sumsq(X) if col_sq is None else col_sq, p, "col_sq")
+    col_sq = _as_vector(_k.col_sumsq(X) if col_sq is None else col_sq, p, "col_sq")
     if xty is not None:
-        xty = _design_vector(xty, p, "xty")
+        xty = _as_vector(xty, p, "xty")
     if b0 is None:
         w = np.zeros(p)
         r = y.copy()
@@ -279,9 +264,9 @@ def lasso_fit(X, y, config: LassoConfig, b0=None, col_sq=None, xty=None, g0=None
 def lasso_kkt_residual(X, y, b, lam: float) -> float:
     """Max KKT violation of b for the Lasso program at level lam."""
     X = _as_design(X)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    n = X.shape[0]
+    n, p = X.shape
+    y = _as_vector(y, n, "y")
+    b = _as_vector(b, p, "b")
     idx = np.flatnonzero(b).astype(np.intp)
     r = y - _k.x_dot_sparse(X, idx, b[idx])
     gn = _k.xt_dot(X, r) / n
@@ -319,10 +304,8 @@ def prox_sorted_l1(v, lambda_seq) -> np.ndarray:
     average reaching past K is at most zero), so PAVA runs on the prefix
     u[:K] only.
     """
-    v = np.ascontiguousarray(v, dtype=np.float64)
-    lam = np.ascontiguousarray(lambda_seq, dtype=np.float64)
-    if v.shape != lam.shape or v.ndim != 1:
-        raise ValueError(f"v and lambda_seq must be equal-length vectors, got {v.shape} and {lam.shape}")
+    v = _as_vector(v, np.size(v), "v")
+    lam = _as_vector(lambda_seq, v.size, "lambda_seq")
     if np.any(np.diff(lam) > 0) or (lam.size and lam[-1] < 0):
         raise ValueError("lambda_seq must be non-increasing and nonnegative")
     a = np.abs(v)
@@ -361,7 +344,7 @@ def _spectral_bound(X: np.ndarray, col_sq=None) -> float:
     if n * p <= 250_000:
         s = np.linalg.svd(X, compute_uv=False)
         return float(s[0] ** 2) / n if s.size else 0.0
-    col_sq = _design_vector(_k.col_sumsq(X) if col_sq is None else col_sq, p, "col_sq")
+    col_sq = _as_vector(_k.col_sumsq(X) if col_sq is None else col_sq, p, "col_sq")
     return (1.0 + math.sqrt(p / n)) ** 2 * float(col_sq.sum()) / (n * p)
 
 
@@ -448,7 +431,7 @@ def slope_fit(X, y, config: SlopeConfig, b0=None, xty=None, g0=None) -> Estimato
     r = y - _k.x_dot_sparse(X, idx, b[idx])
 
     if xty is not None:
-        xty = _design_vector(xty, p, "xty")
+        xty = _as_vector(xty, p, "xty")
     if g0 is not None:
         g0 = _finite_vector(g0, p, "g0")
     tol, xty = _stopping_tol(config.tol, X, y, xty)
@@ -571,12 +554,10 @@ def oracle_estimator(beta, X, z, lam: float, xtz=None) -> np.ndarray:
     ``xtz`` supplies X'z when the caller already has it (e.g. reused
     across signals on one design and noise draw)."""
     X = _as_design(X)
-    beta = np.ascontiguousarray(beta, dtype=np.float64)
-    z = np.ascontiguousarray(z, dtype=np.float64)
     n, p = X.shape
-    if beta.shape != (p,) or z.shape != (n,):
-        raise ValueError(f"shape mismatch: X {X.shape}, beta {beta.shape}, z {z.shape}")
-    xtz = _design_vector(_k.xt_dot(X, z) if xtz is None else xtz, p, "xtz")
+    beta = _as_vector(beta, p, "beta")
+    z = _as_vector(z, n, "z")
+    xtz = _as_vector(_k.xt_dot(X, z) if xtz is None else xtz, p, "xtz")
     return soft_threshold(beta + xtz / n, lam)
 
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as _k
-from .estimators import _design_vector
+from .design import _as_design, _as_vector
+from .diagnostics import max_column_norm
 from .rng import ROLE_PROBE, SeedSpec
 
 
@@ -86,11 +87,9 @@ def resolvent_set(X, z, S, k_star: int, xtz=None) -> np.ndarray:
     """S together with the k*-|S| columns outside S most correlated with
     z, measured by |X_i'z|; ties go to the smaller index. Returns the
     sorted union. ``xtz`` supplies X'z when the caller already has it."""
-    X = np.asfortranarray(X, dtype=np.float64)
-    z = np.ascontiguousarray(z, dtype=np.float64)
+    X = _as_design(X)
     n, p = X.shape
-    if z.shape != (n,):
-        raise ValueError(f"z has shape {z.shape}, expected ({n},)")
+    z = _as_vector(z, n, "z")
     base = np.sort(np.asarray(S, dtype=np.intp), axis=None)
     keep = np.ones(base.size, dtype=bool)
     keep[1:] = base[1:] != base[:-1]
@@ -102,7 +101,7 @@ def resolvent_set(X, z, S, k_star: int, xtz=None) -> np.ndarray:
     if k_star >= p:
         raise ValueError(f"k_star must be smaller than p={p}, got {k_star}")
 
-    score = np.abs(_k.xt_dot(X, z) if xtz is None else _design_vector(xtz, p, "xtz"))
+    score = np.abs(_k.xt_dot(X, z) if xtz is None else _as_vector(xtz, p, "xtz"))
     ranked = np.lexsort((np.arange(p), -score))
     outside = ranked[~np.isin(ranked, base)]
     extra = outside[: k_star - base.size]
@@ -122,18 +121,19 @@ def b_delta_check(instance, beta_L, beta_O, k_star: int, xtz=None) -> ResolventR
     the truth, the Lasso fit, and the oracle fit are all supported inside
     it; delta_emp is the spectral norm of X_{S*}'X_{S*}/n - I. ``xtz``
     supplies X'z for the instance's noise z, as in ``resolvent_set``."""
-    X = instance.design.entries
+    X = _as_design(instance.design.entries)
+    p = X.shape[1]
     s_star = resolvent_set(X, instance.noise.z, instance.signal.support, k_star, xtz=xtz)
     members = set(int(i) for i in s_star)
     supports = np.concatenate(
         [
-            np.flatnonzero(np.asarray(beta_L)),
-            np.flatnonzero(np.asarray(beta_O)),
+            np.flatnonzero(_as_vector(beta_L, p, "beta_L")),
+            np.flatnonzero(_as_vector(beta_O, p, "beta_O")),
             np.asarray(instance.signal.support, dtype=np.intp),
         ]
     )
     contains_all = all(int(j) in members for j in supports)
-    delta_emp = _spectral_gram_deviation(np.asarray(X, dtype=np.float64), s_star)
+    delta_emp = _spectral_gram_deviation(X, s_star)
     return ResolventReport(s_star, k_star, contains_all, delta_emp)
 
 
@@ -141,9 +141,9 @@ def oracle_lasso_gap_check(beta, beta_L, beta_O, report: ResolventReport, tol: f
     """On instances where the resolvent premise holds, test
     ||beta_O - beta_L||_2 <= delta/(1-delta) * ||beta_O - beta||_2 with
     delta = report.delta_emp, allowing 10*tol*sqrt(p) of solver slack."""
-    beta = np.asarray(beta, dtype=np.float64)
-    beta_L = np.asarray(beta_L, dtype=np.float64)
-    beta_O = np.asarray(beta_O, dtype=np.float64)
+    beta = _as_vector(beta, np.size(beta), "beta")
+    beta_L = _as_vector(beta_L, beta.size, "beta_L")
+    beta_O = _as_vector(beta_O, beta.size, "beta_O")
     lhs = float(np.linalg.norm(beta_O - beta_L))
     if not report.contains_all or report.delta_emp >= 1.0:
         return GapCheck(lhs, math.inf, None, True)
@@ -157,7 +157,7 @@ def h_func(u, k: int, n: int, sigma: float, delta1: float, delta2: float) -> flo
     """Weighted sorted-magnitude functional: the top k order statistics of
     |u| pay 4 sqrt(log(2p/j)/n) each, the rest pay the flat rate
     (1+delta1) sqrt(2 log(p/k)/n), all scaled by sigma (1+delta2)."""
-    u = np.asarray(u, dtype=np.float64)
+    u = _as_vector(u, np.size(u), "u")
     p = u.size
     if not 1 <= k <= p:
         raise ValueError(f"need 1 <= k <= p, got k={k}, p={p}")
@@ -181,11 +181,9 @@ def g_func(u, X, sigma: float, delta0: float, delta2: float, delta3: float) -> f
         raise ValueError(f"delta2 must be positive, got {delta2}")
     if not 0.0 < delta3 < 1.0:
         raise ValueError(f"delta3 must lie in (0, 1), got {delta3}")
-    X = np.asfortranarray(X, dtype=np.float64)
-    u = np.ascontiguousarray(u, dtype=np.float64)
+    X = _as_design(X)
     n, p = X.shape
-    if u.shape != (p,):
-        raise ValueError(f"u has shape {u.shape}, expected ({p},)")
+    u = _as_vector(u, p, "u")
     xu = _k.x_dot_dense(X, u)
     return (
         sigma
@@ -202,9 +200,9 @@ def stochastic_u_samples(X, z, k: int, m: int, seed: int | SeedSpec = 0) -> np.n
     random k-sparse vectors, dense Gaussians, and adversarial sign vectors
     aligned with X'z on its top-j coordinates (j doubling from k). The
     event inequality is scale-free, so no normalization is applied."""
-    X = np.asfortranarray(X, dtype=np.float64)
-    z = np.ascontiguousarray(z, dtype=np.float64)
+    X = _as_design(X)
     n, p = X.shape
+    z = _as_vector(z, n, "z")
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
     if not 1 <= k <= p:
@@ -245,19 +243,19 @@ def stochastic_error_event_check(
     z'Xu/n <= (1+delta0) max(H(u), G(u)).
 
     The bound presumes max column norm at most (1+delta0) sqrt(n) and a
-    large p/k aspect; the first is checked exactly and failure flags the
-    report not-applicable, the second is the caller's responsibility since
-    the reference constant is unspecified.
+    large p/k aspect; the first is checked exactly, by
+    ``diagnostics.max_column_norm``, which refuses a non-finite design, and
+    failure flags the report not-applicable; the second is the caller's
+    responsibility since the reference constant is unspecified.
     """
-    X = np.asfortranarray(X, dtype=np.float64)
-    z = np.ascontiguousarray(z, dtype=np.float64)
+    X = _as_design(X)
     n, p = X.shape
+    z = _as_vector(z, n, "z")
     samples = np.atleast_2d(np.asarray(u_samples, dtype=np.float64))
     if samples.shape[1] != p:
         raise ValueError(f"u_samples must have {p} columns, got {samples.shape[1]}")
 
-    col_norm = math.sqrt(float(_k.col_sumsq(X).max()))
-    applicable = col_norm <= (1.0 + params.delta0) * math.sqrt(n)
+    applicable = max_column_norm(X) <= (1.0 + params.delta0) * math.sqrt(n)
 
     zx = _k.xt_dot(X, z)
     held = 0

@@ -93,6 +93,10 @@ class ExperimentConfig:
             raise ValueError(f"amplitude_unit must be 'threshold' or 'absolute', got {self.amplitude_unit!r}")
         if self.support_rule not in ("first_k", "random"):
             raise ValueError(f"support_rule must be 'first_k' or 'random', got {self.support_rule!r}")
+        check_response_energy(
+            "amplitudes", self.n, self.p, self.k, self.sigma, max(abs(a) for a in self.amplitudes),
+            None if self.amplitude_unit == "absolute" else self.sigma_eff,
+        )
         predicted_ratio(self.n, self.p, self.k, self.eps)  # refuses an eps it cannot report
 
     @property
@@ -226,6 +230,27 @@ def predicted_ratio(n: int, p: int, k: int, eps: float) -> float:
         return (1.0 + eps) ** 2 + 1.0 / (2.0 * math.log(p / k))
     except OverflowError:
         raise ValueError(f"eps is too large: (1 + eps)^2 overflows a float, got eps={eps}") from None
+
+
+def check_response_energy(
+    field: str, n: int, p: int, k: int, sigma: float, amplitude: float, unit_sigma: float | None
+) -> None:
+    """Refuse settings whose response energy n (sigma^2 + k a^2) overflows
+    a float, naming sigma and ``field``; their draws would overflow in the
+    fits and reports, or lose the noise in rounding. a is the largest
+    absolute amplitude: |amplitude| in units of the threshold scale
+    unit_sigma sqrt(2 log(p/k) / n), or in absolute units when unit_sigma
+    is None."""
+    try:
+        a = abs(amplitude) * (1.0 if unit_sigma is None else unit_sigma * math.sqrt(2.0 * math.log(p / k) / n))
+        energy = n * (sigma * sigma + k * a * a)
+    except OverflowError:  # n or p beyond a float
+        energy = math.inf
+    if not math.isfinite(energy):
+        raise ValueError(
+            f"sigma={sigma!r} and {field}={amplitude!r} give a response energy n(sigma^2 + k a^2) that overflows"
+            f" a float (n={n}, k={k}, a the largest absolute amplitude)"
+        )
 
 
 def map_replicates(n: int, p: int, seed: int, reps: int, fn, threads: int | None = None) -> list:

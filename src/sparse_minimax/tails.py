@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from ._special import binom_tail, binom_tail_error, erfc_grid
+from .design import _as_design, _as_vector
 from .diagnostics import event_a_check
 from .estimators import _enum_count
 from .events import resolvent_set
@@ -348,9 +349,9 @@ def sup_xtz_exact(X, z, k_star: int) -> float:
     as the top k_star squared column correlations. The brute enumeration
     equivalent is sup_xtz_brute, for cross-checks; the separable form is
     exact because the squared norm is a sum over T's members."""
-    X = np.asarray(X, dtype=np.float64)
-    z = np.ascontiguousarray(z, dtype=np.float64)
-    p = X.shape[1]
+    X = _as_design(X)
+    n, p = X.shape
+    z = _as_vector(z, n, "z")
     if not 1 <= k_star <= p:
         raise ValueError(f"need 1 <= k_star <= p, got k_star={k_star}, p={p}")
     corr = X.T @ z
@@ -363,9 +364,9 @@ def sup_xtz_brute(X, z, k_star: int, enum_cap: int = 10**5) -> float:
     """Exhaustive version of sup_xtz_exact, for oracle cross-checks."""
     from itertools import combinations
 
-    X = np.asarray(X, dtype=np.float64)
-    z = np.ascontiguousarray(z, dtype=np.float64)
-    p = X.shape[1]
+    X = _as_design(X)
+    n, p = X.shape
+    z = _as_vector(z, n, "z")
     _enum_count(p, k_star, enum_cap, "sup_xtz_brute")
     corr = X.T @ z
     best = 0.0

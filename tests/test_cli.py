@@ -21,6 +21,7 @@ from sparse_minimax.cli import PROOF_LEMMAS, _produce_check_lemma, run
 from sparse_minimax.config import lemma_config_from_mapping, parse_grid_text
 from sparse_minimax.design import gen_design
 from sparse_minimax.estimators import LassoConfig, lasso_fit
+from sparse_minimax.events import GapCheck
 from sparse_minimax.risk import ExperimentConfig
 from sparse_minimax.rng import SeedSpec, worker_count
 from sparse_minimax.tails import REGISTRY
@@ -496,15 +497,16 @@ def test_replay_refuses_bad_arguments_before_any_draw(tmp_path, monkeypatch, cap
     assert drawn == []
 
 
-def test_a_report_value_json_cannot_hold_is_refused_by_name(tmp_path, capsys):
-    # sigma = 1e300 overflows the gap driver's margins; the refusal comes
-    # after the draws, but names the field and writes nothing
+def test_a_report_value_json_cannot_hold_is_refused_by_name(tmp_path, monkeypatch, capsys):
+    # a gap check with an infinite right-hand side gives an infinite
+    # min_margin; the refusal comes after the draws, but names the field
+    # and writes nothing
+    monkeypatch.setattr(cli, "oracle_lasso_gap_check", lambda *args: GapCheck(0.0, math.inf, True, False))
     cfg = tmp_path / "lemma.cfg"
-    cfg.write_text(LEMMA_CFG.replace("sigma = 1.0", "sigma = 1e300"))
+    cfg.write_text(LEMMA_CFG)
     out = tmp_path / "out"
     out.mkdir()
-    with np.errstate(over="ignore"):
-        assert run(["check-lemma", "--lemma", "gap", "--config", str(cfg), "--reps", "2", "--out", str(out)]) == 1
+    assert run(["check-lemma", "--lemma", "gap", "--config", str(cfg), "--reps", "2", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: report.min_margin must be finite to be written as JSON, got inf\n"
     assert list(out.iterdir()) == []
     with pytest.raises(ValueError, match=r"^a\[1\]\.b must be finite to be written as JSON, got nan$"):
@@ -609,8 +611,9 @@ def test_check_lemma_refuses_an_option_that_does_not_apply(tmp_path, monkeypatch
 
 @pytest.mark.parametrize("estimator", ["mle", "aggregated"])
 def test_a_response_too_large_for_best_subset_is_an_error_line(tmp_path, capsys, estimator):
-    # the aggregated estimator's event fails here, so it takes the
-    # best-subset branch; before, both ended in an AssertionError traceback
+    # the response energy overflows, so the config is refused before any
+    # draw; before, both ended in an AssertionError traceback (the
+    # aggregated estimator takes the best-subset branch here)
     cfg = tmp_path / "huge.cfg"
     cfg.write_text(
         "n = 5\np = 6\nk = 1\nsigma = 1.0\neps = 0.5\namplitudes = 1e300\nreps = 1\n"
@@ -618,11 +621,36 @@ def test_a_response_too_large_for_best_subset_is_an_error_line(tmp_path, capsys,
     )
     out = tmp_path / "out"
     out.mkdir()
-    with np.errstate(over="ignore"):  # the overflow itself warns
-        assert run(["simulate-risk", "--config", str(cfg), "--out", str(out)]) == 1
+    assert run(["simulate-risk", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: mle_best_subset: y'y overflows a float") and err.count("\n") == 1
+    assert err.startswith("error: sigma=1.0 and amplitudes=1e+300 give a response energy") and err.count("\n") == 1
     assert list(out.iterdir()) == []
+
+
+_SMALL_SWEEP = "n = 12\np = 6\nk = 1\nsigma = 1.0\neps = 0.5\namplitudes = 2.0\nreps = 1\nmaster_seed = 3\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text, field",
+    [
+        (["check-lemma", "--lemma", "gap", "--reps", "2"], LEMMA_CFG.replace("sigma = 1.0", "sigma = 1e300"), "amplitude=4.0"),
+        (["sweep", "--estimators", "oracle,lasso,slope,mle,aggregated"], _SMALL_SWEEP.replace("sigma = 1.0", "sigma = 1e300"), "amplitudes=2.0"),
+        (["sweep", "--estimators", "oracle,lasso,slope,mle,aggregated"], _SMALL_SWEEP.replace("= 2.0", "= 1e300"), "amplitudes=1e+300"),
+        # the noise used to be lost in rounding here: exit 0, minimax_ratio=0
+        (["sweep", "--estimators", "oracle"], _SMALL_SWEEP.replace("= 2.0", "= 1e300"), "amplitudes=1e+300"),
+    ],
+)
+def test_a_response_energy_that_overflows_is_refused_before_any_draw(tmp_path, monkeypatch, capsys, argv, text, field):
+    drawn = []
+    for module in (cli, risk):
+        monkeypatch.setattr(module, "gen_design", lambda *args: drawn.append(args))
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text)
+    assert run([*argv, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: sigma=")
+    assert f" and {field} give a response energy n(sigma^2 + k a^2) that overflows a float" in err
+    assert drawn == []
 
 
 def test_sweep_refuses_an_empty_estimator_list_by_name(tmp_path, risk_config, capsys):

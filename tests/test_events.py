@@ -279,6 +279,17 @@ def test_event_check_flags_oversized_columns(rng):
     assert not out.applicable
 
 
+def test_event_check_refuses_a_nan_design_by_name(rng):
+    # before, the column-norm hypothesis read NaN as not holding:
+    # applicable=False, fraction=0.0
+    X = rng.standard_normal((30, 10))
+    z = rng.standard_normal(30)
+    samples = stochastic_u_samples(X, z, 2, 3)
+    X[4, 7] = math.nan
+    with pytest.raises(ValueError, match="X must be finite"):
+        stochastic_error_event_check(X, z, StochasticErrorParams(0.1, 0.1, 0.1, 0.1), samples, 2, 1.0)
+
+
 def test_l2_constants_collapse():
     c1, c2 = lasso_l2_constants(0.0, 0.0, 0.0)
     assert c1 == pytest.approx(8.0 + math.sqrt(2.0), rel=1e-15)

@@ -51,7 +51,7 @@ CONFIGS = {"risk": RISK_CFG, "lemma": LEMMA_CFG, "event": EVENT_CFG}
 
 # every estimator at a size under the best-subset enumeration cap, the
 # aggregated estimator on its Lasso branch, one estimator alone, one
-# exact-route design check, one proof driver and one registry row
+# exact-route design check, three proof drivers and seven registry rows
 RUNS = {
     "sweep": ["sweep", "--config", "{risk}", "--estimators", "oracle,lasso,slope,mle,aggregated"],
     "sweep-on-event": ["sweep", "--config", "{event}", "--estimators", "lasso,aggregated"],
@@ -59,14 +59,22 @@ RUNS = {
     "diagnose-design": ["diagnose-design", "--n", "60", "--p", "20", "--k", "2", "--eps", "2.0", "--restarts", "2", "--seed", "5"],
     "gap": ["check-lemma", "--lemma", "gap", "--config", "{lemma}", "--reps", "3", "--seed", "2"],
     "gauss_max": ["check-lemma", "--lemma", "gauss_max", "--reps", "300", "--seed", "4"],
+    "resolvent": ["check-lemma", "--lemma", "resolvent", "--config", "{lemma}", "--reps", "3", "--seed", "2"],
+    "stochastic-error": ["check-lemma", "--lemma", "stochastic-error", "--config", "{lemma}", "--reps", "3", "--seed", "2"],
+    "sup_xtz": ["check-lemma", "--lemma", "sup_xtz", "--reps", "100", "--seed", "4"],
+    **{
+        row: ["check-lemma", "--lemma", row, "--reps", "300", "--seed", "4"]
+        for row in ("chi2_lower", "order_mean", "order_conc", "topk_avg", "median_event")
+    },
 }
 
-# per version: the numpy it was recorded with, and the SHA-256 of each data
-# file and of each manifest's config section (the manifest itself holds
-# timestamps)
+# per version: the numpy and the BLAS it was recorded with, and the SHA-256
+# of each data file and of each manifest's config section (the manifest
+# itself holds timestamps)
 HASHES = {
     "0.1.8": {
         "numpy": "2.4.6",
+        "blas": "scipy-openblas 0.3.31.188.0",
         "files": {
             "diagnose-design/diagnose.json": "a7ef7c91acd12678350352bc9c16fd8ebd1d8d71c88110fd2747a42bc1748297",
             "diagnose-design/manifest.json:config": "75f5fda82ff6430242dd2d26063a462c50002c2378d2b4a1e605ee34e100b3be",
@@ -107,17 +115,32 @@ HASHES = {
     },
     "0.1.9": {
         "numpy": "2.4.6",
+        "blas": "scipy-openblas 0.3.31.188.0",
         "files": {
+            "chi2_lower/lemma_chi2_lower.json": "002d3c9b148cafb68eb104ef6c526926b8573f92176c3f5e69cb7a8d32686924",
+            "chi2_lower/manifest.json:config": "906fad2ba119e4d839a099c915d722f5b4af2605fbe0d38abd59b9d9c9634bda",
             "diagnose-design/diagnose.json": "a7ef7c91acd12678350352bc9c16fd8ebd1d8d71c88110fd2747a42bc1748297",
             "diagnose-design/manifest.json:config": "75f5fda82ff6430242dd2d26063a462c50002c2378d2b4a1e605ee34e100b3be",
             "gap/lemma_gap.json": "c618c7239507e2fba7d82d47547b4e420fed098b44b9df8575bbba92feb079ac",
             "gap/manifest.json:config": "0a54484d951225339ead9ead388e0d7f2d3946e88d93a6c300332b46e5eca923",
             "gauss_max/lemma_gauss_max.json": "60a5fa2c974e209ef7f7661755cf92279cfb21d4909ec25dad465bed514ba124",
             "gauss_max/manifest.json:config": "df755b806dadc015d985a68f408a04fff990647a6f1c9347c30d8f05c15c6644",
+            "median_event/lemma_median_event.json": "509584d72d63842d106985385fc738264c1742eb6d4de1a50dc968e2cda44bcd",
+            "median_event/manifest.json:config": "862973f35126f7a5e433a8590b4994b3c73e03e956907d3bf542c166fada33c0",
+            "order_conc/lemma_order_conc.json": "a77bc0e31169db63e96d80ec449d201acedd7868ab68d339b92c57898d3d9a51",
+            "order_conc/manifest.json:config": "f48a53c378991f6390aa29cf8ec8155857a5eb6508d2674fadf6e3e81bb25fd3",
+            "order_mean/lemma_order_mean.json": "805e5298a87972ef525f5ec964e331ec1ce132de27126ee8e8fa6cd40b1fb8a0",
+            "order_mean/manifest.json:config": "babe8219b68d291ad37d83314158feb7cc003c4cf3a1e2639c8e955a91416ba1",
+            "resolvent/lemma_resolvent.json": "db7e5c301671bb2efa854079d196800d7005912aad6022bc2a0be14afdb5e3fd",
+            "resolvent/manifest.json:config": "3734c828122495e3f7d8abf3364388910837ea4528d25a74151af0f8272eb31e",
             "simulate-risk/manifest.json:config": "ca6c522cf4837532bc259b60b5e160dc191cb8d91f35b02f9cec3297e39d4ee9",
             "simulate-risk/risk_lasso.csv": "c2f8b6796c016368083adfc04acf7e150aec75151f94a243abb4b6356aa17753",
             "simulate-risk/risk_lasso.tsv": "08b24c50d44852e0cc3f41980ad9a13db530fa4fb4bcb54afa9c33a3205a45cb",
             "simulate-risk/summary_lasso.json": "e24ff7c7976cb56b5041e88f406655350720753f081d3e8281c72abb67a61e34",
+            "stochastic-error/lemma_stochastic-error.json": "ded3969b9fc6e178a41ec112521ac6d8f8a8c73e8755439bc096f93a0af9c7f9",
+            "stochastic-error/manifest.json:config": "6fd37b1ddcad61bc13bd3350b90171b0d471c79e03830def4a70fff9f737ff3f",
+            "sup_xtz/lemma_sup_xtz.json": "9b8cace6bea0656ead821680d771ee7ab2ffd93dc00ec0702f35dae413983572",
+            "sup_xtz/manifest.json:config": "2017ccb77d1ed06ec9d3c793f5f71039f31a569b4a480343bd201ea7c3af656c",
             "sweep-on-event/manifest.json:config": "c51ecdd326b995edcd4371fb2de0ac459bed2499d22a2d987c70d502b41626dd",
             "sweep-on-event/risk_aggregated.csv": "8cf992f6b79fdf70f126c8b2dd0f5ad7de553bbdf5c2a496cfc0a34234115ed0",
             "sweep-on-event/risk_aggregated.tsv": "ce249d1f82a1e7929ff88350d066c1ee419d6505e65d60c7b4cffa8c8690ee9b",
@@ -143,9 +166,17 @@ HASHES = {
             "sweep/summary_oracle.json": "51b78053512ec5be849873b6e808888e3a4ced892940d6ed71932927d047f099",
             "sweep/summary_slope.json": "f9f858fdfd181a4992f511499e909adaf6537a77d3b987aeead3285aca96f3e1",
             "sweep/sweep_summary.json": "ae0640ee362030f13f0805320f5aeaa5fe25e92685396b5c4decdc2c1f92a0b4",
+            "topk_avg/lemma_topk_avg.json": "527e7735475c4adeaba572c240011c44694c116e909af1afb9f3406d975cb83c",
+            "topk_avg/manifest.json:config": "a855f9aec5d823f510d9c7f0ff5dfeb2b617b0ac276f0287ff93785d338d1bf4",
         },
     },
 }
+
+
+def blas() -> str:
+    """The name and version of the BLAS numpy was built with."""
+    info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{info['name']} {info.get('version', 'unknown')}"
 
 
 def output_hashes(tmp_path) -> dict[str, str]:
@@ -174,7 +205,7 @@ def output_hashes(tmp_path) -> dict[str, str]:
 def row_text(hashes: dict[str, str]) -> str:
     """The entry of HASHES for ``__version__`` that ``hashes`` make, laid
     out as the table is, ready to paste."""
-    lines = [f'    "{__version__}": {{', f'        "numpy": "{np.__version__}",', '        "files": {']
+    lines = [f'    "{__version__}": {{', f'        "numpy": "{np.__version__}",', f'        "blas": "{blas()}",', '        "files": {']
     lines += [f'            "{name}": "{digest}",' for name, digest in sorted(hashes.items())]
     return "\n".join([*lines, "        },", "    },"])
 
@@ -184,11 +215,12 @@ def test_output_bytes_match_the_row_of_this_version(tmp_path):
     got = output_hashes(tmp_path)
     computed = f"\nthe row this run computed:\n{row_text(got)}"
     assert row is not None, (
-        f"no output hashes recorded for version {__version__} (numpy {np.__version__}); "
+        f"no output hashes recorded for version {__version__} (numpy {np.__version__}, BLAS {blas()}); "
         "a change that moves output bytes bumps __version__ and records a row" + computed
     )
     moved = sorted(name for name in set(got) | set(row["files"]) if got.get(name) != row["files"].get(name))
     assert moved == [], (
         f"output bytes differ from the row of version {__version__}: {moved}; the row was recorded "
-        f"with numpy {row['numpy']}, this run has numpy {np.__version__}" + computed
+        f"with numpy {row['numpy']} and BLAS {row['blas']}, this run has numpy {np.__version__} and BLAS {blas()}"
+        + computed
     )
