@@ -11,6 +11,7 @@ from .design import gen_design, make_signal, synthesize
 from .estimators import (
     BacktrackingError,
     EstimatorResult,
+    GramBlock,
     LassoConfig,
     SlopeConfig,
     soft_threshold,

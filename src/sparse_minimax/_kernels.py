@@ -1,5 +1,5 @@
-"""Hot numeric kernels: design products, column norms, Lasso coordinate
-sweeps and the decreasing isotonic fit behind the sorted-L1 prox.
+"""Hot numeric kernels: design products, Gram blocks, column norms, Lasso
+coordinate sweeps and the decreasing isotonic fit behind the sorted-L1 prox.
 
 They stay separate named functions, looked up through this module at every
 call site, so that a profiler or a test can replace one name and see every
@@ -13,6 +13,12 @@ import numpy as np
 
 def xt_dot(x, v):
     return x.T @ v
+
+
+def gram_block(x, idx):
+    # (X_idx)' X, shape (len(idx), p): row i is the Gram column X'X_idx[i],
+    # all of them from one pass over X
+    return x[:, idx].T @ x
 
 
 def x_dot_sparse(x, idx, vals):

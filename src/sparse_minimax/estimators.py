@@ -4,13 +4,15 @@ search, the oracle estimator, and the Lasso/MLE aggregate.
 All fits are pure functions of their inputs. Designs and vectors are
 converted on entry by ``design._as_design`` and ``design._as_vector`` (a
 copy only when the input is not float64 in their layout), so column access
-in the sweep kernels is contiguous.
+in the sweep kernels is contiguous. The Lasso and SLOPE take every
+full-design gradient X'(y - Xb) as X'y - X'X_C b_C over the support C of
+b, reading the columns X'X_j from a :class:`GramBlock`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -34,6 +36,10 @@ _MAX_HALVINGS = 60
 # step: at most doubling keeps the slab near the support, and the floor lets
 # a cold start grow past one column at a time.
 _MIN_GROWTH = 10
+
+# Gram columns a GramBlock holds: 256 columns of a p = 8000 design take
+# 16 MB, so a block stays O(p) next to its n x p design.
+_GRAM_CAP = 256
 
 
 def _enum_count(p: int, s: int, cap: int, what: str) -> int:
@@ -103,14 +109,7 @@ class SlopeConfig:
 
 @dataclass(frozen=True)
 class EstimatorResult:
-    """A fit's coefficients, work and certificate.
-
-    ``gradient`` is X'(y - X beta_hat), unscaled, from the fit's last
-    full-design product when that product was taken at ``beta_hat``
-    (always for a converged Lasso or SLOPE fit); None otherwise. A caller
-    can carry it to the next fit on the same design as ``g0``. It is not
-    part of :meth:`to_json`.
-    """
+    """A fit's coefficients, work and certificate."""
 
     beta_hat: np.ndarray
     iterations: int
@@ -118,7 +117,6 @@ class EstimatorResult:
     objective: float
     converged: bool
     branch: str | None = None
-    gradient: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
         out = {
@@ -161,6 +159,48 @@ def _as_response(y, n: int) -> np.ndarray:
     return y
 
 
+class GramBlock:
+    """Gram columns X'X_j of one n x p design, each computed once and kept.
+
+    :meth:`dot` forms X'X_C v from the held columns, computing the missing
+    ones of C with one block product. Fits on one design can share a block,
+    as they share its column norms; a block serves only the design its
+    columns came from. It holds at most ``_GRAM_CAP`` columns: past that, a
+    product is taken directly from the design.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self._slot = np.full(p, -1, dtype=np.intp)  # row of column j, -1 if not held
+        self._rows = np.empty((0, p))
+
+    def dot(self, X, idx, v) -> np.ndarray:
+        """X'(X_idx v) for distinct column indices ``idx`` of X."""
+        missing = idx[self._slot[idx] < 0]
+        if missing.size:
+            held = self._rows.shape[0]
+            if held + missing.size > _GRAM_CAP:
+                return _k.xt_dot(X, _k.x_dot_sparse(X, idx, v))
+            self._slot[missing] = np.arange(held, held + missing.size)
+            self._rows = np.concatenate((self._rows, _k.gram_block(X, missing)))
+        return v @ self._rows[self._slot[idx]]
+
+
+def _gram_of(gram, p: int) -> GramBlock:
+    """A fit's Gram block: the caller's, checked against p, or a new one."""
+    if gram is None:
+        return GramBlock(p)
+    if not isinstance(gram, GramBlock) or gram.p != p:
+        raise ValueError(f"gram must be a GramBlock of a design with {p} columns")
+    return gram
+
+
+def _gradient(X, gram: GramBlock, xty: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """X'(y - X b), unscaled, as X'y - X'X_C b_C over the support C of b."""
+    idx = np.flatnonzero(b)
+    return xty - gram.dot(X, idx, b[idx])
+
+
 def _kkt_from_grad(gn: np.ndarray, b: np.ndarray, lam: float) -> float:
     """Max subgradient violation given gn = X'(y-Xb)/n."""
     on = b != 0.0
@@ -171,38 +211,41 @@ def _kkt_from_grad(gn: np.ndarray, b: np.ndarray, lam: float) -> float:
     return float(viol.max(initial=0.0))
 
 
-def _finite_vector(v, p: int, name: str) -> np.ndarray:
-    """A caller-supplied start point or gradient: shape-checked and finite."""
-    v = _as_vector(v, p, name)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be finite")
-    return v
+def _start_point(b0, p: int) -> np.ndarray:
+    """A fit's coefficients at the start: zeros, or a copy of a
+    shape-checked, finite ``b0``."""
+    if b0 is None:
+        return np.zeros(p)
+    b0 = _as_vector(b0, p, "b0")
+    if not np.all(np.isfinite(b0)):
+        raise ValueError("b0 must be finite")
+    return b0.copy()
 
 
-def _stopping_tol(tol, X, y, xty):
+def _xty(X, y, xty) -> np.ndarray:
+    """X'y: the caller's ``xty``, shape-checked, or one direct product."""
+    return _k.xt_dot(X, y) if xty is None else _as_vector(xty, X.shape[1], "xty")
+
+
+def _stopping_tol(tol, xty: np.ndarray, n: int) -> float:
     """A fit's stopping tolerance, ``tol`` or by default
-    1e-8 * max(1, ||X'y||_inf / n), and X'y, formed only if that needs it."""
-    if tol is None:
-        if xty is None:
-            xty = _k.xt_dot(X, y)
-        tol = 1e-8 * max(1.0, float(np.abs(xty).max(initial=0.0)) / X.shape[0])
-    return tol, xty
+    1e-8 * max(1, ||X'y||_inf / n)."""
+    return 1e-8 * max(1.0, float(np.abs(xty).max(initial=0.0)) / n) if tol is None else tol
 
 
-def lasso_fit(X, y, config: LassoConfig, b0=None, col_sq=None, xty=None, g0=None) -> EstimatorResult:
+def lasso_fit(X, y, config: LassoConfig, b0=None, col_sq=None, xty=None, gram=None) -> EstimatorResult:
     """Solve argmin_b (1/2n)||y - Xb||^2 + lam*||b||_1 by cyclic coordinate
     minimization over an active set that grows on KKT violations.
 
     The returned ``kkt_residual`` is checked against the full design, so a
     ``converged`` result certifies every coordinate, not just active ones.
-    ``b0`` warm-starts the sweep. ``col_sq`` supplies the squared column
-    norms of X and ``xty`` the product X'y when the caller already has
-    them (e.g. reused across fits on one design or one response). ``g0``
-    supplies the start gradient X'(y - X b0) (X'y without ``b0``), e.g.
-    carried from an earlier fit's ``gradient``; it only picks the first
-    active set, since every KKT check takes a direct product after the
-    sweeps, so a wrong ``g0`` costs sweeps, not correctness. The result's
-    ``gradient`` is the product behind ``kkt_residual``.
+    Each full-design gradient, at the start and at every KKT check, is
+    X'y - X'X_C w_C over the support C of the coefficients w, from the
+    Gram columns of ``gram`` (a new :class:`GramBlock` when None). ``b0``
+    warm-starts the sweep. ``col_sq`` supplies the squared column norms of
+    X, ``xty`` the product X'y and ``gram`` a block of X's Gram columns
+    when the caller already has them (e.g. reused across fits on one
+    design or one response).
     """
     X = _as_design(X)
     n, p = X.shape
@@ -213,23 +256,13 @@ def lasso_fit(X, y, config: LassoConfig, b0=None, col_sq=None, xty=None, g0=None
     lam = config.lam
     lam_n = lam * n
     col_sq = _as_vector(_k.col_sumsq(X) if col_sq is None else col_sq, p, "col_sq")
-    if xty is not None:
-        xty = _as_vector(xty, p, "xty")
-    if b0 is None:
-        w = np.zeros(p)
-        r = y.copy()
-    else:
-        w = _finite_vector(b0, p, "b0").copy()
-        idx = np.flatnonzero(w)
-        r = y - _k.x_dot_sparse(X, idx.astype(np.intp), w[idx])
-    if g0 is not None:
-        g = _finite_vector(g0, p, "g0")
-    elif b0 is None:
-        g = xty = _k.xt_dot(X, y) if xty is None else xty
-    else:
-        g = _k.xt_dot(X, r)
-
-    tol, _ = _stopping_tol(config.tol, X, y, xty)
+    w = _start_point(b0, p)
+    xty = _xty(X, y, xty)
+    tol = _stopping_tol(config.tol, xty, n)
+    gram = _gram_of(gram, p)
+    idx = np.flatnonzero(w)
+    r = y - _k.x_dot_sparse(X, idx, w[idx])
+    g = _gradient(X, gram, xty, w)
     active = np.flatnonzero((np.abs(g) > lam_n) | (w != 0.0))
     delta_tol = 0.1 * tol * n / max(1.0, float(col_sq.max(initial=0.0)))
     total = 0
@@ -241,7 +274,7 @@ def lasso_fit(X, y, config: LassoConfig, b0=None, col_sq=None, xty=None, g0=None
             if budget <= 0:
                 break
             total += int(_k.cd_sweeps(X, r, w, active, lam_n, col_sq, delta_tol, budget))
-        g = _k.xt_dot(X, r)
+        g = _gradient(X, gram, xty, w)
         kkt = _kkt_from_grad(g / n, w, lam)
         if kkt <= tol:
             converged = True
@@ -258,19 +291,17 @@ def lasso_fit(X, y, config: LassoConfig, b0=None, col_sq=None, xty=None, g0=None
         active = grown
 
     objective = 0.5 * float(r @ r) / n + lam * float(np.abs(w).sum())
-    return EstimatorResult(w, total, kkt, objective, converged, gradient=g)
+    return EstimatorResult(w, total, kkt, objective, converged)
 
 
 def lasso_kkt_residual(X, y, b, lam: float) -> float:
-    """Max KKT violation of b for the Lasso program at level lam."""
+    """Max KKT violation of b for the Lasso program at level lam, from the
+    gradient :func:`lasso_fit` certifies on."""
     X = _as_design(X)
     n, p = X.shape
     y = _as_vector(y, n, "y")
     b = _as_vector(b, p, "b")
-    idx = np.flatnonzero(b).astype(np.intp)
-    r = y - _k.x_dot_sparse(X, idx, b[idx])
-    gn = _k.xt_dot(X, r) / n
-    return _kkt_from_grad(gn, b, lam)
+    return _kkt_from_grad(_gradient(X, GramBlock(p), _xty(X, y, None), b) / n, b, lam)
 
 
 def slope_lambda_seq(eps: float, sigma: float, n: int, p: int, q: float) -> np.ndarray:
@@ -396,7 +427,7 @@ def _fista_on_slab(Xw, y, lam_w, b_init, t, tol_inner, it_cap, n):
     return b, rb, it, t
 
 
-def slope_fit(X, y, config: SlopeConfig, b0=None, xty=None, g0=None) -> EstimatorResult:
+def slope_fit(X, y, config: SlopeConfig, b0=None, xty=None, gram=None) -> EstimatorResult:
     """Solve argmin_b (1/2n)||y - Xb||^2 + sum_i lambda_i |b|_(i).
 
     Proximal gradient (FISTA) on a working set of columns, with the prox of
@@ -409,15 +440,12 @@ def slope_fit(X, y, config: SlopeConfig, b0=None, xty=None, g0=None) -> Estimato
     Convergence is certified on the full design: kkt_residual is the
     prox-gradient fixed-point residual ||b - prox_{t J}(b + t X'r/n)||_inf
     / t, which vanishes exactly at solutions for any step t > 0; the cap
-    changes the path to it, not the stopping rule. ``xty`` supplies
-    X'y when the caller already has it (e.g. shared with a Lasso fit on the
-    same response); a cold fit takes it as its first gradient. ``g0``
-    supplies the start gradient X'(y - X b0) (X'y without ``b0``), e.g.
-    carried from an earlier fit's ``gradient``, in place of the first
-    outer step's product. A supplied gradient only steers the first step:
-    if the check on it passes, a direct product is taken before
-    convergence is declared, so every certificate, and the result's
-    ``gradient``, is a direct full-design product.
+    changes the path to it, not the stopping rule. Each outer step's
+    gradient X'r is X'y - X'X_C b_C over the support C of b, from the Gram
+    columns of ``gram`` (a new :class:`GramBlock` when None). ``xty``
+    supplies X'y and ``gram`` a block of X's Gram columns when the caller
+    already has them (e.g. shared with a Lasso fit on the same response
+    or design).
     """
     X = _as_design(X)
     n, p = X.shape
@@ -426,17 +454,12 @@ def slope_fit(X, y, config: SlopeConfig, b0=None, xty=None, g0=None) -> Estimato
     if lam.shape != (p,):
         raise ValueError(f"lambda_seq has length {lam.size}, expected {p}")
 
-    b = np.zeros(p) if b0 is None else _finite_vector(b0, p, "b0").copy()
-    idx = np.flatnonzero(b).astype(np.intp)
+    b = _start_point(b0, p)
+    idx = np.flatnonzero(b)
     r = y - _k.x_dot_sparse(X, idx, b[idx])
-
-    if xty is not None:
-        xty = _as_vector(xty, p, "xty")
-    if g0 is not None:
-        g0 = _finite_vector(g0, p, "g0")
-    tol, xty = _stopping_tol(config.tol, X, y, xty)
-    if g0 is None and b0 is None:
-        g0 = xty  # r = y, so X'r = X'y
+    xty = _xty(X, y, xty)
+    tol = _stopping_tol(config.tol, xty, n)
+    gram = _gram_of(gram, p)
 
     lip = config.lipschitz if config.lipschitz is not None else _spectral_bound(X)
     if lip <= 0.0:
@@ -449,18 +472,11 @@ def slope_fit(X, y, config: SlopeConfig, b0=None, xty=None, g0=None) -> Estimato
     fp = math.inf
     work = np.flatnonzero(b)
     tol_inner = 0.3 * tol
-    xr = g0  # X'r at b; a supplied one is used once, for the first step
     while True:
-        direct = xr is None
-        if direct:
-            xr = _k.xt_dot(X, r)
-        g = xr / n
+        g = _gradient(X, gram, xty, b) / n
         pb = prox_sorted_l1(b + t * g, t * lam)
         fp = float(np.abs(b - pb).max(initial=0.0)) / t
         if fp <= tol:
-            if not direct:
-                xr = None  # certify on a direct product, at the same b
-                continue
             converged = True
             break
         if total >= config.max_iter:
@@ -486,10 +502,9 @@ def slope_fit(X, y, config: SlopeConfig, b0=None, xty=None, g0=None) -> Estimato
         b = np.zeros(p)
         b[work] = bw
         r = rw
-        xr = None
 
     objective = _slope_objective(r, b, lam, n)
-    return EstimatorResult(b, total, fp, objective, converged, gradient=xr if direct else None)
+    return EstimatorResult(b, total, fp, objective, converged)
 
 
 def mle_best_subset(X, y, k: int, enum_cap: int = 10**6) -> EstimatorResult:

@@ -20,6 +20,7 @@ from . import diagnostics
 from ._special import norm_cdf
 from .design import gen_design, make_signal, synthesize
 from .estimators import (
+    GramBlock,
     LassoConfig,
     SlopeConfig,
     _spectral_bound,
@@ -288,13 +289,11 @@ def _replicate_errors(config: ExperimentConfig, ids, lam: float, seq, amps_abs, 
     best subset's where it fails, and each distinct fit runs once per
     amplitude, however many ids ask for it.
 
-    With h = X'(X_S 1), taken once at the first nonzero amplitude,
-    X'y_a = X'z + a h, and the Lasso's and SLOPE's start gradients
-    X'(y_a - X b) at the previous amplitude's solution b are that fit's
-    final ``gradient`` plus (a - a_prev) h. Both fits take those as ``xty``
-    and ``g0`` instead of full-design products; each still certifies its
-    result on a direct product. Each estimator's bytes are as when it runs
-    alone.
+    One :class:`GramBlock` per replicate, seeded with S, gives
+    h = X'X_S 1 and so X'y_a = X'z + a h, which the Lasso and SLOPE take as
+    ``xty``; both fits read every gradient from that block, each starting
+    from its own solution at the previous amplitude. Each estimator's bytes
+    are as when it runs alone.
     """
     X = design.entries
     if "aggregated" in ids:  # looked up at call time, so a wrapper of diagnostics' check sees it
@@ -309,36 +308,29 @@ def _replicate_errors(config: ExperimentConfig, ids, lam: float, seq, amps_abs, 
     support = signal.support
     X_S = X[:, support]
     xtz = _k.xt_dot(X, z) if iterative or "oracle" in fits else None
-    h = None
+    gram = GramBlock(config.p) if iterative else None
+    h = gram.dot(X, support, np.ones(support.size)) if iterative and any(amps_abs) else None
 
     errs = np.empty((len(fits), len(amps_abs)))
     flags = np.zeros((len(fits), len(amps_abs)), dtype=bool)
     warm = [None] * len(fits)  # previous amplitude's solution; same design, so a good start
-    grads = [None] * len(fits)  # X'(y - X warm) at the previous amplitude
     for a, amp in enumerate(amps_abs):
         y = X_S @ np.full(config.k, amp) + z if amp else z
         beta = np.zeros(config.p)
         beta[support] = amp
         if iterative:
-            if amp and h is None:
-                h = _k.xt_dot(X, _k.x_dot_sparse(X, support, np.ones(support.size)))
             xty = xtz + amp * h if amp else xtz
-            shift = amp - amps_abs[a - 1] if a else 0.0  # the first amplitude carries no gradient
         for e, est in enumerate(fits):
             if est == "oracle":
                 beta_hat = oracle_estimator(beta, X, z, lam, xtz=xtz)
             elif est == "mle":
                 beta_hat = mle_best_subset(X, y, config.k).beta_hat
             else:
-                g0 = grads[e]
-                if g0 is not None and shift:
-                    g0 = g0 + shift * h
                 if est == "lasso":
-                    res = lasso_fit(X, y, LassoConfig(lam=lam), b0=warm[e], col_sq=col_sq, xty=xty, g0=g0)
+                    res = lasso_fit(X, y, LassoConfig(lam=lam), b0=warm[e], col_sq=col_sq, xty=xty, gram=gram)
                 else:
-                    res = slope_fit(X, y, SlopeConfig(lambda_seq=seq, lipschitz=lip), b0=warm[e], xty=xty, g0=g0)
+                    res = slope_fit(X, y, SlopeConfig(lambda_seq=seq, lipschitz=lip), b0=warm[e], xty=xty, gram=gram)
                 beta_hat = warm[e] = res.beta_hat
-                grads[e] = res.gradient
                 flags[e, a] = not res.converged
             diff = beta_hat - beta
             errs[e, a] = float(diff @ diff)

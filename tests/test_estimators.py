@@ -1,8 +1,10 @@
 """Solver correctness against closed forms, exhaustive search, scipy's
 isotonic projection, and the optimality conditions each fit certifies."""
 
+import ast
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -612,19 +614,20 @@ def test_precomputed_design_quantities_change_no_bit(rng):
     assert cached.kkt_residual == cold.kkt_residual
     xtz = _kernels.xt_dot(X, z)
     assert np.array_equal(oracle_estimator(beta, X, z, 0.2, xtz=xtz), oracle_estimator(beta, X, z, 0.2))
-    # X'y: the cold Lasso's first gradient, and the tol rule of the warm
-    # Lasso and of SLOPE (cold and warm)
+    # X'y, the base of every gradient and of the tol rule, and one Gram
+    # block shared by the four fits
     xty = _kernels.xt_dot(X, y)
+    gram = estimators_mod.GramBlock(12)
     warm_start = 0.5 * cold.beta_hat
     warm = lasso_fit(X, y, LassoConfig(lam=0.2), b0=warm_start)
     seq = slope_lambda_seq(0.1, 1.0, 40, 12, 0.5)
     slope_cold = slope_fit(X, y, SlopeConfig(lambda_seq=seq))
     slope_warm = slope_fit(X, y, SlopeConfig(lambda_seq=seq), b0=warm_start)
     for plain, shared in (
-        (cold, lasso_fit(X, y, LassoConfig(lam=0.2), xty=xty)),
-        (warm, lasso_fit(X, y, LassoConfig(lam=0.2), b0=warm_start, col_sq=col_sq, xty=xty)),
-        (slope_cold, slope_fit(X, y, SlopeConfig(lambda_seq=seq), xty=xty)),
-        (slope_warm, slope_fit(X, y, SlopeConfig(lambda_seq=seq), b0=warm_start, xty=xty)),
+        (cold, lasso_fit(X, y, LassoConfig(lam=0.2), xty=xty, gram=gram)),
+        (warm, lasso_fit(X, y, LassoConfig(lam=0.2), b0=warm_start, col_sq=col_sq, xty=xty, gram=gram)),
+        (slope_cold, slope_fit(X, y, SlopeConfig(lambda_seq=seq), xty=xty, gram=gram)),
+        (slope_warm, slope_fit(X, y, SlopeConfig(lambda_seq=seq), b0=warm_start, xty=xty, gram=gram)),
     ):
         assert np.array_equal(shared.beta_hat, plain.beta_hat)
         assert shared.kkt_residual == plain.kkt_residual
@@ -670,17 +673,17 @@ def test_slope_on_unit_norm_columns_past_the_svd_cutoff():
     assert est.iterations <= 2 * ref.iterations
 
 
-def _recording_xt_dot(monkeypatch):
-    """Replace the full-design product with one that logs (v, X'v)."""
+def _recording_gradient(monkeypatch):
+    """Replace the fits' gradient with one that logs (b, X'(y - X b))."""
     log = []
-    real = _kernels.xt_dot
+    real = estimators_mod._gradient
 
-    def recording(x, v):
-        out = real(x, v)
-        log.append((np.array(v, copy=True), out))
+    def recording(X, gram, xty, b):
+        out = real(X, gram, xty, b)
+        log.append((b.copy(), out))
         return out
 
-    monkeypatch.setattr(_kernels, "xt_dot", recording)
+    monkeypatch.setattr(estimators_mod, "_gradient", recording)
     return log
 
 
@@ -692,45 +695,111 @@ def _carry_problem(rng):
     return X, y
 
 
-@pytest.mark.parametrize("start", ["zeros", "random"])
+def _fits(n, p):
+    return (
+        (lasso_fit, LassoConfig(lam=0.1, tol=1e-10)),
+        (slope_fit, SlopeConfig(lambda_seq=slope_lambda_seq(0.1, 0.3, n, p, 0.5), tol=1e-10)),
+    )
+
+
+@pytest.mark.parametrize("shared", [False, True])
 @pytest.mark.parametrize("warm", [False, True])
-def test_wrong_carried_gradient_still_converges_on_a_direct_certificate(rng, monkeypatch, start, warm):
-    # g0 only steers the first step; convergence is declared on a direct
-    # X'r at the returned coefficients, which is the result's gradient
+def test_every_certified_gradient_matches_a_direct_product(rng, monkeypatch, shared, warm):
+    # each gradient read from the Gram block, X'y - X'X_C b_C, agrees with a
+    # direct X'(y - X b) within the rounding bound of two length-(n + p) dot
+    # products of |X|'|y| and |X|'|X||b|
     X, y = _carry_problem(rng)
     n, p = X.shape
-    tol = 1e-10
-    g0 = np.zeros(p) if start == "zeros" else 50.0 * rng.standard_normal(p)
-    fits = (
-        (lasso_fit, LassoConfig(lam=0.1, tol=tol)),
-        (slope_fit, SlopeConfig(lambda_seq=slope_lambda_seq(0.1, 0.3, n, p, 0.5), tol=tol)),
-    )
-    for fit, cfg in fits:
-        direct = fit(X, y, cfg)
-        b0 = 0.5 * direct.beta_hat if warm else None
-        log = _recording_xt_dot(monkeypatch)
-        res = fit(X, y, cfg, b0=b0, g0=g0)
+    gram = estimators_mod.GramBlock(p) if shared else None
+    for fit, cfg in _fits(n, p):
+        b0 = 0.5 * fit(X, y, cfg).beta_hat if warm else None
+        log = _recording_gradient(monkeypatch)
+        res = fit(X, y, cfg, b0=b0, gram=gram)
         monkeypatch.undo()
-        assert res.converged and res.kkt_residual <= tol
-        assert np.allclose(res.beta_hat, direct.beta_hat, rtol=0, atol=1e-8)
-        v, out = log[-1]
-        assert np.allclose(v, y - X @ res.beta_hat, rtol=0, atol=1e-10)
-        assert res.gradient is out
+        assert res.converged and res.kkt_residual <= cfg.tol
+        assert log and np.array_equal(log[-1][0], res.beta_hat)
+        for b, g in log:
+            size = np.abs(X).T @ (np.abs(y) + np.abs(X) @ np.abs(b))
+            bound = 2.0 * (n + p) * np.finfo(float).eps * size
+            assert np.all(np.abs(g - X.T @ (y - X @ b)) <= bound)
         if fit is lasso_fit:
-            assert estimators_mod._kkt_from_grad(out / n, res.beta_hat, cfg.lam) == res.kkt_residual
+            assert estimators_mod._kkt_from_grad(log[-1][1] / n, res.beta_hat, cfg.lam) == res.kkt_residual
 
 
-def test_slope_certifies_a_passing_carried_gradient_directly(rng, monkeypatch):
-    # started at its own solution with its own gradient, the first check
-    # passes on the carried gradient; a direct product still certifies it
+def test_gradients_past_the_block_cap_are_direct_products(rng, monkeypatch):
+    # with no room for a Gram column, every X'X_C b_C is two direct
+    # products, and the fits land on the same bytes
     X, y = _carry_problem(rng)
-    cfg = SlopeConfig(lambda_seq=slope_lambda_seq(0.1, 0.3, 60, 30, 0.5), tol=1e-10)
-    ref = slope_fit(X, y, cfg)
-    log = _recording_xt_dot(monkeypatch)
-    res = slope_fit(X, y, cfg, b0=ref.beta_hat, g0=ref.gradient)
-    assert res.converged and res.iterations == 0
-    assert len(log) == 1 and res.gradient is log[0][1]
-    assert np.array_equal(res.beta_hat, ref.beta_hat)
+    n, p = X.shape
+    for fit, cfg in _fits(n, p):
+        for b0 in (None, 0.5 * fit(X, y, cfg).beta_hat):
+            blocked = fit(X, y, cfg, b0=b0)
+            with monkeypatch.context() as m:
+                m.setattr(estimators_mod, "_GRAM_CAP", 0)
+                m.setattr(_kernels, "gram_block", lambda *a: pytest.fail("a block product past the cap"))
+                direct = fit(X, y, cfg, b0=b0)
+            assert direct.converged and blocked.converged
+            assert direct.beta_hat.tobytes() == blocked.beta_hat.tobytes()
+            assert direct.iterations == blocked.iterations
+
+
+def test_a_gram_block_computes_each_column_once(rng, monkeypatch):
+    X = np.asfortranarray(rng.standard_normal((40, 12)))
+    batches = []
+    real = _kernels.gram_block
+
+    def counting(x, idx):
+        batches.append(idx.tolist())
+        return real(x, idx)
+
+    monkeypatch.setattr(_kernels, "gram_block", counting)
+    monkeypatch.setattr(estimators_mod, "_GRAM_CAP", 5)
+    gram = estimators_mod.GramBlock(12)
+    for idx in ([3, 7], [1, 3, 7], [7], [], [0, 1, 2, 3, 7], [0, 5]):
+        idx = np.array(idx, dtype=np.intp)
+        v = rng.standard_normal(idx.size)
+        assert np.allclose(gram.dot(X, idx, v), X.T @ (X[:, idx] @ v), rtol=0, atol=1e-12)
+    # [0, 5] would make six columns, past the cap of five: a direct product
+    assert batches == [[3, 7], [1], [0, 2]]
+    with pytest.raises(ValueError, match="gram must be a GramBlock of a design with 12 columns"):
+        lasso_fit(X, rng.standard_normal(40), LassoConfig(lam=0.1), gram=estimators_mod.GramBlock(11))
+
+
+def _full_design_products(module) -> set[tuple[str, str]]:
+    """(enclosing function, call text) of every ``_k.xt_dot`` call in a
+    module's source."""
+    source = Path(module.__file__).read_text(encoding="utf-8")
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "xt_dot"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "_k"
+        ):
+            found.add((where, ast.get_source_segment(source, node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_fits_take_full_design_products_in_three_places_only():
+    # X'y when the caller supplies none, X'z, and the Gram block's direct
+    # product past its cap; every other gradient comes from the block
+    from sparse_minimax import risk
+
+    assert _full_design_products(estimators_mod) == {
+        ("_xty", "_k.xt_dot(X, y)"),
+        ("oracle_estimator", "_k.xt_dot(X, z)"),
+        ("dot", "_k.xt_dot(X, _k.x_dot_sparse(X, idx, v))"),
+    }
+    assert _full_design_products(risk) == {("_replicate_errors", "_k.xt_dot(X, z)")}
 
 
 def test_start_points_and_gradients_are_checked_by_name(rng):
@@ -741,8 +810,6 @@ def test_start_points_and_gradients_are_checked_by_name(rng):
         (slope_fit, SlopeConfig(lambda_seq=np.full(p, 0.1))),
     )
     for fit, cfg in fits:
-        with pytest.raises(ValueError, match=r"g0 has shape \(5,\)"):
-            fit(X, y, cfg, g0=np.zeros(5))
         with pytest.raises(ValueError, match=r"b0 has shape \(5,\)"):
             fit(X, y, cfg, b0=np.zeros(5))
         for bad in (math.nan, math.inf, -math.inf):
@@ -750,5 +817,5 @@ def test_start_points_and_gradients_are_checked_by_name(rng):
             v[3] = bad
             with pytest.raises(ValueError, match="b0 must be finite"):
                 fit(X, y, cfg, b0=v)
-            with pytest.raises(ValueError, match="g0 must be finite"):
-                fit(X, y, cfg, g0=v)
+        with pytest.raises(ValueError, match="gram must be a GramBlock"):
+            fit(X, y, cfg, gram=np.zeros((p, p)))

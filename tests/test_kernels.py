@@ -20,6 +20,12 @@ def test_xt_dot_matches_blas(rng):
     assert np.allclose(k.xt_dot(x, v), x.T @ v, rtol=1e-13, atol=1e-13)
 
 
+def test_gram_block_matches_blas(rng):
+    x = _design(rng)
+    idx = np.array([2, 5, 11], dtype=np.intp)
+    assert np.allclose(k.gram_block(x, idx), (x.T @ x)[idx], rtol=1e-13, atol=1e-13)
+
+
 def test_col_sumsq_matches_blas(rng):
     x = _design(rng)
     assert np.allclose(k.col_sumsq(x), (x**2).sum(axis=0), rtol=1e-13, atol=1e-13)

@@ -47,13 +47,33 @@ reps = 3
 master_seed = 11
 """
 
-CONFIGS = {"risk": RISK_CFG, "lemma": LEMMA_CFG, "event": EVENT_CFG}
+# the stochastic-error driver's column-norm hypothesis holds on every
+# replicate of this one (on LEMMA_CFG it holds on none)
+WIDE_LEMMA_CFG = LEMMA_CFG.replace("eps = 0.1", "eps = 2.0")
+
+# the desk sweep's k and amplitudes at a size where the Lasso's and
+# SLOPE's supports grow past S across the amplitudes on both replicates
+GROWING_CFG = """
+n = 600
+p = 1200
+k = 8
+sigma = 1.0
+eps = 0.1
+estimator_id = lasso
+amplitudes = 0.25, 0.5, 1.0, 2.0, 4.0, 8.0
+reps = 2
+master_seed = 11
+"""
+
+CONFIGS = {"risk": RISK_CFG, "lemma": LEMMA_CFG, "event": EVENT_CFG, "wide": WIDE_LEMMA_CFG, "growing": GROWING_CFG}
 
 # every estimator at a size under the best-subset enumeration cap, the
-# aggregated estimator on its Lasso branch, one estimator alone, one
-# exact-route design check, three proof drivers and seven registry rows
+# aggregated estimator on its Lasso branch, the desk sweep's estimators
+# with growing supports, one estimator alone, one exact-route design
+# check, three proof drivers (one of them twice) and seven registry rows
 RUNS = {
     "sweep": ["sweep", "--config", "{risk}", "--estimators", "oracle,lasso,slope,mle,aggregated"],
+    "sweep-growing": ["sweep", "--config", "{growing}", "--estimators", "oracle,lasso,slope"],
     "sweep-on-event": ["sweep", "--config", "{event}", "--estimators", "lasso,aggregated"],
     "simulate-risk": ["simulate-risk", "--config", "{risk}"],
     "diagnose-design": ["diagnose-design", "--n", "60", "--p", "20", "--k", "2", "--eps", "2.0", "--restarts", "2", "--seed", "5"],
@@ -61,6 +81,9 @@ RUNS = {
     "gauss_max": ["check-lemma", "--lemma", "gauss_max", "--reps", "300", "--seed", "4"],
     "resolvent": ["check-lemma", "--lemma", "resolvent", "--config", "{lemma}", "--reps", "3", "--seed", "2"],
     "stochastic-error": ["check-lemma", "--lemma", "stochastic-error", "--config", "{lemma}", "--reps", "3", "--seed", "2"],
+    "stochastic-error-wide": [
+        "check-lemma", "--lemma", "stochastic-error", "--config", "{wide}", "--reps", "3", "--seed", "2",
+    ],
     "sup_xtz": ["check-lemma", "--lemma", "sup_xtz", "--reps", "100", "--seed", "4"],
     **{
         row: ["check-lemma", "--lemma", row, "--reps", "300", "--seed", "4"]
@@ -137,10 +160,23 @@ HASHES = {
             "simulate-risk/risk_lasso.csv": "c2f8b6796c016368083adfc04acf7e150aec75151f94a243abb4b6356aa17753",
             "simulate-risk/risk_lasso.tsv": "08b24c50d44852e0cc3f41980ad9a13db530fa4fb4bcb54afa9c33a3205a45cb",
             "simulate-risk/summary_lasso.json": "e24ff7c7976cb56b5041e88f406655350720753f081d3e8281c72abb67a61e34",
+            "stochastic-error-wide/lemma_stochastic-error.json": "3943fdd5cf0694bab896b8c25912eaa265a8089ce3616129d5d4f21a02a977ad",
+            "stochastic-error-wide/manifest.json:config": "7e7f1dc366ea0eb2ddd7b7f024472234ed672ea50941e5678128150482fc70b6",
             "stochastic-error/lemma_stochastic-error.json": "ded3969b9fc6e178a41ec112521ac6d8f8a8c73e8755439bc096f93a0af9c7f9",
             "stochastic-error/manifest.json:config": "6fd37b1ddcad61bc13bd3350b90171b0d471c79e03830def4a70fff9f737ff3f",
             "sup_xtz/lemma_sup_xtz.json": "9b8cace6bea0656ead821680d771ee7ab2ffd93dc00ec0702f35dae413983572",
             "sup_xtz/manifest.json:config": "2017ccb77d1ed06ec9d3c793f5f71039f31a569b4a480343bd201ea7c3af656c",
+            "sweep-growing/manifest.json:config": "7ee29090c6525375ae330784301c50344710196076484945f1d683df30d68aac",
+            "sweep-growing/risk_lasso.csv": "ec0a965935dcc0312e9d23bc3f80c259d22690e076aafadfee25b7366692db58",
+            "sweep-growing/risk_lasso.tsv": "c5d9f53a5368146251c84737b49d946d8d3858710e9b5491231038a44119feab",
+            "sweep-growing/risk_oracle.csv": "86c5f6109cfeae1a099d652e715e1d80d32ca3756bcdda005be75bdb44671c59",
+            "sweep-growing/risk_oracle.tsv": "ec0509759eb8f6e254c16df34174e748527ecc752de258e6efd2c98638a68654",
+            "sweep-growing/risk_slope.csv": "d6378b3c57c9a8ce99a0644ffd670df0b7a82621bb8812b71716cc1683023046",
+            "sweep-growing/risk_slope.tsv": "22cc70c28cf56b7d7f344482b40401ac09571f81ecdd2fd1397b2a8345add687",
+            "sweep-growing/summary_lasso.json": "ba32ed23e6fbb0ec521e99049a491b685e671684a73b33905cc412a055e326b3",
+            "sweep-growing/summary_oracle.json": "a5e3b14fb0bc7ba8de7e778effce8f4c2ff58de18fd2cf4e882f6755c90fe453",
+            "sweep-growing/summary_slope.json": "44b5dede26c6b870420b20bf6f44634e04715b738889e571978e22eac65223e4",
+            "sweep-growing/sweep_summary.json": "4e66fd3056112e5dc65b56f6d16e0109bafbb794a7fd07131c2f79580852789f",
             "sweep-on-event/manifest.json:config": "c51ecdd326b995edcd4371fb2de0ac459bed2499d22a2d987c70d502b41626dd",
             "sweep-on-event/risk_aggregated.csv": "8cf992f6b79fdf70f126c8b2dd0f5ad7de553bbdf5c2a496cfc0a34234115ed0",
             "sweep-on-event/risk_aggregated.tsv": "ce249d1f82a1e7929ff88350d066c1ee419d6505e65d60c7b4cffa8c8690ee9b",

@@ -181,7 +181,7 @@ def test_replicates_and_amplitudes_fill_error_matrix():
 
 
 def test_nonconvergence_aborts(monkeypatch):
-    def refuse(X, y, config, b0=None, col_sq=None, xty=None, g0=None):
+    def refuse(X, y, config, b0=None, col_sq=None, xty=None, gram=None):
         return EstimatorResult(np.zeros(X.shape[1]), 0, 1.0, 0.0, False)
 
     monkeypatch.setattr(risk_mod, "lasso_fit", refuse)
@@ -610,11 +610,12 @@ _CARRY_CASES = {
 
 
 def _direct_fit(fit):
-    """``fit`` with the sweep's carried X'y and start gradient replaced by
-    direct products: the reference every carried run must match."""
+    """``fit`` as if run alone: the sweep's carried X'y and its shared Gram
+    block replaced by a direct X'y and the fit's own block, the reference
+    every sweep must match."""
 
-    def run(X, y, config, b0=None, xty=None, g0=None, **kw):
-        return fit(X, y, config, b0=b0, xty=_kernels.xt_dot(X, y), **kw)
+    def run(X, y, config, b0=None, xty=None, gram=None, **kw):
+        return fit(X, y, config, b0=b0, **kw)
 
     return run
 
@@ -637,19 +638,22 @@ def test_carried_gradients_change_no_bit(monkeypatch, case):
 
 
 def test_sweep_makes_a_pinned_number_of_products(monkeypatch):
-    # per replicate: X'z and h = X'(X_S 1) once, then only the fits'
-    # certificates; the X'y of every amplitude, the Lasso's warm-start
-    # gradients and SLOPE's first outer products are carried (here 4, plus
-    # 26 certificates for 24 fits)
+    # per replicate: one full-design X'z, then block products only: one
+    # for the support S behind h = X'X_S 1, and one per batch of columns
+    # that the Lasso's and SLOPE's supports add across the six amplitudes
+    # (here batches of 1, 4 and 2 columns, then of 1 and 1)
     calls = []
-    real = _kernels.xt_dot
+    for name in ("xt_dot", "gram_block"):
+        real = getattr(_kernels, name)
 
-    def counting(x, v):
-        calls.append(x.shape)
-        return real(x, v)
+        def counting(x, v, real=real, name=name):
+            calls.append((name, np.size(v)))
+            return real(x, v)
 
-    monkeypatch.setattr(_kernels, "xt_dot", counting)
+        monkeypatch.setattr(_kernels, name, counting)
     cfg = ExperimentConfig(**_CARRY_BASE)
     reports = empirical_risks(cfg, ("oracle", "lasso", "slope"), threads=1)
     assert all(r.flagged == 0 for r in reports.values())
-    assert len(calls) == 30
+    start = [("xt_dot", cfg.n), ("gram_block", cfg.k)]
+    grown = [[("gram_block", m) for m in batches] for batches in ((1, 4, 2), (1, 1))]
+    assert calls == start + grown[0] + start + grown[1]
